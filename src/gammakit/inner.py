@@ -4,12 +4,16 @@ A rational inner map h = (s, p) of degree n is carried by two polynomials:
 s = E / D and p = D~ / D, where D~ is the degree-n conjugate reciprocal of D.
 Validation enforces the four representation conditions: degree bounds, the
 n-symmetry of E, zero-freeness of D on the closed disc, and the circle
-inequality |E| <= 2 |D| certified through exact autocorrelation coefficients.
+inequality |E| <= 2 |D|, whose minimum ``circle_extrema`` estimates by a grid
+scan plus local refinement, not a certified bound (ROADMAP defect C).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
+
+import numpy as np
 
 from .errors import BadParameter, ConditionFailed, NotInner, PoleOnDomain
 from .polynomials import (
@@ -38,13 +42,15 @@ class GammaInner:
     tol: ToleranceConfig = field(compare=False)
     strict: bool = True
     d_circle_zeros: int = 0
+    # royal_profile's memo for ``tol``; see its docstring.
+    _royal_profile: object = field(default=None, init=False, compare=False, repr=False)
 
     @property
     def degree(self) -> int:
         """Degree of the Blaschke product p after cancelling circle zeros."""
         return self.n - self.d_circle_zeros
 
-    @property
+    @cached_property
     def d_reflected(self) -> Poly:
         return conj_reciprocal(self.D, self.n)
 
@@ -73,8 +79,9 @@ def validate(
 
     (i) deg E <= n and deg D <= n; (ii) E is n-symmetric; (iii) D has no
     zeros on the closed disc (or, with ``strict=False``, none on the open
-    disc); (iv) 4|D|^2 - |E|^2 >= 0 on the circle, certified by the exact
-    autocorrelation coefficients rather than sampling alone.
+    disc); (iv) 4|D|^2 - |E|^2 >= 0 on the circle, from the exact
+    autocorrelation coefficients; ``circle_extrema`` estimates the minimum by
+    a grid scan plus local refinement, not a certified bound (ROADMAP defect C).
 
     Raises :class:`ConditionFailed` carrying every failed condition label.
     """
@@ -131,17 +138,24 @@ def validate(
 
 def eval_h(h: GammaInner, lam: complex) -> tuple[complex, complex]:
     """Evaluate (s, p) = (E/D, D~/D) at a point of the closed disc."""
-    lam = complex(lam)
-    if abs(lam) > 1.0 + h.tol.eps_circle:
-        raise ValueError(f"|lambda| = {abs(lam):.6g} lies outside the closed disc")
+    return _h_values(h, complex(lam))
+
+
+def _h_values(h: GammaInner, lam):
+    """(s, p) at lam: one complex point, or elementwise over an ndarray.
+
+    Each guard tests the worst point. A single point never enters numpy,
+    whose per-call overhead would dominate its cost.
+    """
+    many = isinstance(lam, np.ndarray)
+    far = lam.flat[np.argmax(np.abs(lam))] if many else lam
+    if abs(far) > 1.0 + h.tol.eps_circle:
+        raise ValueError(f"|lambda| = {abs(far):.6g} lies outside the closed disc")
     den = h.D(lam)
-    if abs(den) <= h.tol.eps_trim * (1.0 + h.D.max_coeff):
-        raise PoleOnDomain(f"D vanishes at {lam:.6g}")
+    near = lam.flat[np.argmin(np.abs(den))] if many else lam
+    if abs(h.D(near)) <= h.tol.eps_trim * (1.0 + h.D.max_coeff):
+        raise PoleOnDomain(f"D vanishes at {near:.6g}")
     return h.E(lam) / den, h.d_reflected(lam) / den
-
-
-def degree(h: GammaInner) -> int:
-    return h.degree
 
 
 def from_inner_pair(

@@ -7,14 +7,15 @@ precision through Python's shortest round-trip float rendering.
 
 from __future__ import annotations
 
-import cmath
 import json
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import GammaKitError, ParseError, ValidationError
 from .geometry import mobius_chart
-from .inner import GammaInner, eval_h, validate
+from .inner import GammaInner, _h_values, validate
 from .polynomials import Poly
 from .royal import NodeRegion, RoyalNode, RoyalProfile
 from .spectral import TrigPoly
@@ -226,11 +227,11 @@ def trace_boundary(h: GammaInner, samples: int) -> list[TraceRow]:
     """
     if samples < 16:
         raise ValueError("at least 16 samples are required")
+    ts = 2.0 * math.pi * np.arange(samples) / samples
+    s_all, p_all = _h_values(h, np.exp(1j * ts))
     rows = []
     branch_ref = 0.0
-    for j in range(samples):
-        t = 2.0 * math.pi * j / samples
-        s, p = eval_h(h, cmath.exp(1j * t))
+    for t, s, p in zip(ts.tolist(), s_all.tolist(), p_all.tolist()):
         x, theta = mobius_chart(s, p, branch_ref, h.tol)
         branch_ref = theta
         rows.append(
@@ -250,22 +251,8 @@ def trace_boundary(h: GammaInner, samples: int) -> list[TraceRow]:
 
 
 def trace_to_csv(rows) -> str:
+    columns = TRACE_HEADER.split(",")
     lines = [TRACE_HEADER]
     for row in rows:
-        lines.append(
-            ",".join(
-                repr(v)
-                for v in (
-                    row.t,
-                    row.s_re,
-                    row.s_im,
-                    row.p_re,
-                    row.p_im,
-                    row.x,
-                    row.theta,
-                    row.edge_gap,
-                    row.b_residual,
-                )
-            )
-        )
+        lines.append(",".join(repr(getattr(row, name)) for name in columns))
     return "\n".join(lines) + "\n"

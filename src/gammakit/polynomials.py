@@ -84,7 +84,8 @@ class Poly:
 
     __rmul__ = __mul__
 
-    def __call__(self, z: complex) -> complex:
+    def __call__(self, z):
+        """Horner evaluation at z: a complex, or elementwise over a numpy array."""
         acc = 0j
         for c in reversed(self.coeffs):
             acc = acc * z + c
@@ -92,13 +93,6 @@ class Poly:
 
     def derivative(self) -> "Poly":
         return Poly([k * c for k, c in enumerate(self.coeffs)][1:])
-
-    def conjugate_coeffs(self) -> "Poly":
-        return Poly([c.conjugate() for c in self.coeffs])
-
-
-def poly_one() -> Poly:
-    return Poly([1.0])
 
 
 def conj_reciprocal(f: Poly, n: int) -> Poly:

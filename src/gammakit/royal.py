@@ -17,7 +17,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import OddCircleZero, OrderOverflow, RoyalVariety
-from .inner import GammaInner, eval_h
+from .inner import GammaInner, _h_values
 from .polynomials import Poly, is_n_symmetric, roots_with_multiplicity
 from .spectral import circle_extrema, partition_circle_roots, to_trig_shifted
 from .tolerances import DEFAULT_TOL, ToleranceConfig
@@ -141,7 +141,15 @@ def royal_profile(h: GammaInner, tol: ToleranceConfig | None = None) -> RoyalPro
     order) carry half their order; their angles get a final Newton
     refinement on the real circle function. Zeros outside the disc are the
     reflected partners and are discarded.
+
+    The profile for ``h.tol`` (``tol`` omitted or equal) is computed once per
+    map and kept on that instance; later calls, such as those inside
+    ``recover_spec`` and ``witness_non_extreme``, return the same object
+    without solving R again. A different ``tol`` recomputes.
     """
+    memo = tol is None or tol == h.tol
+    if memo and h._royal_profile is not None:
+        return h._royal_profile
     tol = tol or h.tol
     r = royal_polynomial(h)
     roots = roots_with_multiplicity(r, tol)
@@ -162,7 +170,10 @@ def royal_profile(h: GammaInner, tol: ToleranceConfig | None = None) -> RoyalPro
     nodes = tuple(disc_nodes + circle_nodes)
     k = sum(nd.multiplicity for nd in circle_nodes)
     n = k + sum(nd.multiplicity for nd in disc_nodes)
-    return RoyalProfile(nodes=nodes, n=n, k=k)
+    profile = RoyalProfile(nodes=nodes, n=n, k=k)
+    if memo:
+        object.__setattr__(h, "_royal_profile", profile)
+    return profile
 
 
 _FLATNESS_FLOOR = 1e-13
@@ -190,21 +201,22 @@ def boundary_flatness(
     tau /= abs(tau)
     t0 = cmath.phase(tau)
 
-    def gap(t: float) -> float:
-        s, _ = eval_h(h, cmath.exp(1j * t))
-        return 2.0 - abs(s)
-
-    def symmetric(delta: float) -> float:
-        return max(0.5 * (gap(t0 + delta) + gap(t0 - delta)), 0.0)
-
-    if gap(t0) > 1e-8:
+    # Every offset the search below can reach: the base halves from 0.2 at
+    # most 15 times, and five dyadic samples follow it. One batch covers all.
+    deltas = 0.2 * 0.5 ** np.arange(20)
+    ts = t0 + np.concatenate(([0.0], deltas, -deltas))
+    s, _ = _h_values(h, np.exp(1j * ts))
+    gap = 2.0 - np.abs(s)
+    if gap[0] > 1e-8:
         return 0
+    ahead, behind = gap[1:].reshape(2, -1)
+    symmetric = np.maximum(0.5 * (ahead + behind), 0.0).tolist()
 
-    base = 0.2
-    while symmetric(base) > 0.05 and base > 1e-5:
-        base *= 0.5
+    start = 0
+    while symmetric[start] > 0.05 and deltas[start] > 1e-5:
+        start += 1
 
-    sampled = [symmetric(base * 0.5**j) for j in range(5)]
+    sampled = symmetric[start : start + 5]
     estimates = []
     for lo, hi in zip(sampled, sampled[1:]):
         if lo > _FLATNESS_FLOOR and hi > _FLATNESS_FLOOR:

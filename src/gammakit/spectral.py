@@ -8,8 +8,10 @@ computed from the root pairing of the associated ordinary polynomial.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -17,6 +19,7 @@ from .errors import NotBalanced, NotNonnegative, OddCircleZero, ZeroPolynomial
 from .polynomials import (
     Poly,
     is_n_symmetric,
+    poly_from_roots,
     root_location_uncertainties,
     roots_with_multiplicity,
 )
@@ -64,25 +67,22 @@ class TrigPoly:
         return max((abs(c) for c in self.coeffs), default=0.0)
 
     def value(self, t: float) -> float:
-        acc = self.coeff(0).real
-        for k in range(1, self.n + 1):
-            acc += 2.0 * (self.coeff(k) * complex(math.cos(k * t), math.sin(k * t))).real
-        return acc
+        return self._on_circle(cmath.exp(1j * t))
 
     def values(self, ts) -> np.ndarray:
-        ts = np.asarray(ts, dtype=float)
-        acc = np.full(ts.shape, self.coeff(0).real)
-        for k in range(1, self.n + 1):
-            acc += 2.0 * (self.coeff(k) * np.exp(1j * k * ts)).real
-        return acc
+        return self._on_circle(np.exp(1j * np.asarray(ts, dtype=float)))
 
-    def scaled(self, factor: float) -> "TrigPoly":
-        return TrigPoly(tuple(factor * c for c in self.coeffs), self.n)
+    def _on_circle(self, lam):
+        """lambda^{-n} P(lambda) at unimodular lam, P holding a_{-n} .. a_n.
 
-    def derivative(self) -> "TrigPoly":
-        """d/dt of t -> value(t); frequency k picks up a factor i k."""
-        half = [1j * k * self.coeff(k) for k in range(self.n + 1)]
-        return TrigPoly.from_half_spectrum(half)
+        A scalar lam stays in Python arithmetic; numpy's per-call overhead
+        would dominate the hundreds of scalar calls of circle_extrema.
+        """
+        return (self._analytic(lam) * lam ** -self.n).real
+
+    @cached_property
+    def _analytic(self) -> Poly:
+        return Poly(self.coeffs, eps_trim=0.0)
 
     @classmethod
     def lincomb(cls, terms) -> "TrigPoly":
@@ -177,6 +177,8 @@ def _wilson_refine(coeffs, f: TrigPoly, degree: int, rounds: int = 4, values=Non
     ts = 2.0 * math.pi * np.arange(size) / size
     fv = f.values(ts) if values is None else np.asarray(values(ts), dtype=float)
 
+    # The FFT is the Newton step's projection onto the analytic part; it also
+    # gives all grid values in O(N log N), where Horner would cost O(N d).
     def values_of(cs):
         padded = np.zeros(size, dtype=complex)
         padded[: len(cs)] = cs
@@ -203,6 +205,16 @@ def _wilson_refine(coeffs, f: TrigPoly, degree: int, rounds: int = 4, values=Non
         if res < best_res:
             best, best_res = current, res
     return best
+
+
+@dataclass
+class _CircleCluster:
+    """Circle candidates merged by angle: unimodular point and total order."""
+
+    point: complex
+    order: int
+    hard: bool
+    members: list
 
 
 def partition_circle_roots(roots, f: Poly, tol: ToleranceConfig):
@@ -241,29 +253,27 @@ def partition_circle_roots(roots, f: Poly, tol: ToleranceConfig):
         candidates, key=lambda it: (it[0].real, it[0].imag)
     ):
         for group in clusters:
-            radius = min(tol.eps_root ** (1.0 / (m + group["order"])), 1e-2)
-            if abs(snapped - group["point"]) <= radius:
-                weighted = group["point"] * group["order"] + snapped * m
-                group["point"] = weighted / abs(weighted)
-                group["order"] += m
-                group["hard"] = group["hard"] or hard
-                group["members"].append((original, m))
+            radius = min(tol.eps_root ** (1.0 / (m + group.order)), 1e-2)
+            if abs(snapped - group.point) <= radius:
+                weighted = group.point * group.order + snapped * m
+                group.point = weighted / abs(weighted)
+                group.order += m
+                group.hard = group.hard or hard
+                group.members.append((original, m))
                 break
         else:
-            clusters.append(
-                {"point": snapped, "order": m, "hard": hard, "members": [(original, m)]}
-            )
+            clusters.append(_CircleCluster(snapped, m, hard, [(original, m)]))
 
     circle = []
     for group in clusters:
-        if group["order"] % 2 == 0:
-            circle.append((group["point"], group["order"]))
-        elif group["hard"]:
+        if group.order % 2 == 0:
+            circle.append((group.point, group.order))
+        elif group.hard:
             raise OddCircleZero(
-                f"circle zero at {group['point']:.6g} has odd order {group['order']}"
+                f"circle zero at {group.point:.6g} has odd order {group.order}"
             )
         else:
-            for original, m in group["members"]:
+            for original, m in group.members:
                 if abs(original) > 1.0:
                     outside.append((original, m))
                 else:
@@ -285,9 +295,11 @@ def fejer_riesz(
     supply exact circle samples of f (angles -> values) for callers that
     know f in a well-conditioned factored form.
 
-    Raises ``NotNonnegative`` when the certified circle minimum is below
-    -eps_residual (relative), and ``OddCircleZero`` when a circle zero
-    cluster has odd order, which is inconsistent with a squared modulus.
+    Raises ``NotNonnegative`` when the circle minimum is below -eps_residual
+    (relative), and ``OddCircleZero`` when a circle zero cluster has odd
+    order, which is inconsistent with a squared modulus. ``circle_extrema``
+    estimates that minimum by a grid scan plus local refinement, not a
+    certified bound (ROADMAP defect C).
     """
     scale = f.max_coeff
     if scale == 0.0:
@@ -317,10 +329,7 @@ def fejer_riesz(
     for z, m in outside:
         gain /= abs(z) ** m
 
-    factor = Poly([math.sqrt(gain)])
-    for z, m in selected:
-        for _ in range(m):
-            factor = factor * Poly([-z, 1.0])
+    factor = poly_from_roots(selected, math.sqrt(gain))
 
     if not on_circle:
         # Newton cleanup of the expansion rounding; skipped when the factor

@@ -22,10 +22,10 @@ from .errors import (
     ExtremeNoWitness,
     GammaKitError,
 )
-from .inner import GammaInner, validate
-from .polynomials import Poly, l_factor, poly_one, q_factor, roots_with_multiplicity
+from .inner import GammaInner, circle_gap, validate
+from .polynomials import Poly, l_factor, poly_from_roots, q_factor, roots_with_multiplicity
 from .royal import royal_polynomial, royal_profile
-from .spectral import TrigPoly, circle_extrema, fejer_riesz, to_trig_modulus_squared, to_trig_shifted
+from .spectral import circle_extrema, fejer_riesz, to_trig_shifted
 from .tolerances import DEFAULT_TOL, ToleranceConfig
 
 
@@ -140,6 +140,13 @@ def _factored_gap_values(spec: SynthesisSpec):
     return evaluate
 
 
+def _factor_symbol(spec: SynthesisSpec, tol: ToleranceConfig) -> tuple[Poly, Poly]:
+    """E and the outer factor D0 with |D0|^2 = lambda^{-n} R + |E|^2 on the circle."""
+    r, e = build_re(spec)
+    f = to_trig_shifted(r + e * e, spec.n, tol)
+    return e, fejer_riesz(f, tol, value_fn=_factored_gap_values(spec))
+
+
 def synthesize(spec: SynthesisSpec, tol: ToleranceConfig | None = None) -> GammaInner:
     """Build the inner map of degree exactly n prescribed by the spec.
 
@@ -149,10 +156,7 @@ def synthesize(spec: SynthesisSpec, tol: ToleranceConfig | None = None) -> Gamma
     then rotated by conj(omega)) completes the pair.
     """
     tol = tol or spec.tol
-    r, e = build_re(spec)
-    combined = r + e * e
-    f = to_trig_shifted(combined, spec.n, tol)
-    d0 = fejer_riesz(f, tol, value_fn=_factored_gap_values(spec))
+    e, d0 = _factor_symbol(spec, tol)
     d = (0.5 * spec.omega.conjugate()) * d0
     return validate(e, d, spec.n, tol)
 
@@ -185,35 +189,23 @@ def recover_spec(h: GammaInner, tol: ToleranceConfig | None = None) -> Synthesis
         elif radius < 1.0:
             alphas.extend([z] * m)
 
-    factor = poly_one()
-    for alpha in alphas:
-        factor = factor * q_factor(alpha, tol)
-    for tau in taus:
-        factor = factor * l_factor(tau, tol)
-    t = _real_ratio(h.E, factor)
-
-    royal = royal_polynomial(h)
-    node_product = poly_one()
-    for sig in sigmas:
-        node_product = node_product * q_factor(sig, tol)
-    t_plus = _real_ratio(royal, node_product)
-    if not t_plus > 0.0:
-        raise BadSpec("recovered royal scaling is not positive")
-
-    provisional = SynthesisSpec(
+    monic = SynthesisSpec(
         alphas=tuple(alphas),
         taus=tuple(taus),
         sigmas=tuple(sigmas),
-        t_plus=t_plus,
-        t=t,
+        t_plus=1.0,
+        t=1.0,
         omega=1.0,
         tol=tol,
     )
-    e_rec = t * factor
-    rebuilt = t_plus * node_product + e_rec * e_rec
-    d0 = 0.5 * fejer_riesz(
-        to_trig_shifted(rebuilt, h.n, tol), tol, value_fn=_factored_gap_values(provisional)
-    )
+    node_product, factor = build_re(monic)
+    t = _coeff_ratio(h.E, factor).real
+    t_plus = _coeff_ratio(royal_polynomial(h), node_product).real
+    if not t_plus > 0.0:
+        raise BadSpec("recovered royal scaling is not positive")
+
+    provisional = replace(monic, t_plus=t_plus, t=t)
+    _, d0 = _factor_symbol(provisional, tol)
     ratio = _coeff_ratio(h.D, d0)
     omega = (ratio / abs(ratio)).conjugate()
     return replace(provisional, omega=omega)
@@ -225,10 +217,6 @@ def _coeff_ratio(num: Poly, den: Poly) -> complex:
         raise BadSpec("cannot relate against a zero polynomial")
     j = max(range(len(den.coeffs)), key=lambda i: abs(den.coeffs[i]))
     return num.coeff(j) / den.coeffs[j]
-
-
-def _real_ratio(num: Poly, den: Poly) -> float:
-    return _coeff_ratio(num, den).real
 
 
 def _perturbation_direction(h: GammaInner, circle_taus) -> Poly:
@@ -245,26 +233,18 @@ def _perturbation_direction(h: GammaInner, circle_taus) -> Poly:
             return h.E
         return h.D + h.d_reflected
 
-    squares = poly_one()
-    for tau in circle_taus:
-        squares = squares * Poly([-tau, 1.0]) * Poly([-tau, 1.0])
-
+    roots = [(0j, n // 2 - k)] + [(tau, 2) for tau in circle_taus]
     if n % 2 == 0:
-        m = n // 2
         front = 1.0 + 0.0j
         for tau in circle_taus:
             front *= tau.conjugate()
-        g = front * (Poly([0.0] * (m - k) + [1.0]) * squares)
     else:
-        m = (n - 1) // 2
-        rhs = -circle_taus[0].conjugate()
+        roots.append((circle_taus[0], 1))
+        front = -circle_taus[0].conjugate()
         for tau in circle_taus:
-            rhs *= tau.conjugate() ** 2
-        omega = cmath.sqrt(rhs)
-        g = omega * (
-            Poly([0.0] * (m - k) + [1.0]) * Poly([-circle_taus[0], 1.0]) * squares
-        )
-    return g
+            front *= tau.conjugate() ** 2
+        front = cmath.sqrt(front)
+    return front * poly_from_roots(roots)
 
 
 def witness_non_extreme(
@@ -272,10 +252,12 @@ def witness_non_extreme(
 ) -> tuple[float, GammaInner, GammaInner]:
     """A strict convex decomposition h = (h+ + h-) / 2 when 2k <= n.
 
-    The perturbation size t starts at 1 and halves until the certified circle
-    minimum of 4 |D|^2 - |E +- t g|^2 is nonnegative for both signs; a
-    small enough t always succeeds when 2k <= n. Raises ``ExtremeNoWitness``
-    when 2k > n, in which case no decomposition exists.
+    The perturbation size t starts at 1 and halves until the circle minimum
+    of 4 |D|^2 - |E +- t g|^2 is nonnegative for both signs; a small enough
+    t always succeeds when 2k <= n. ``circle_extrema`` estimates that minimum
+    by a grid scan plus local refinement, not a certified bound (ROADMAP
+    defect C). Raises ``ExtremeNoWitness`` when 2k > n, in which case no
+    decomposition exists.
     """
     tol = tol or h.tol
     profile = royal_profile(h, tol)
@@ -289,15 +271,11 @@ def witness_non_extreme(
         circle_taus.extend([node.location] * node.multiplicity)
     g = _perturbation_direction(h, circle_taus)
 
-    d_sq = to_trig_modulus_squared(h.D)
     t_step = 1.0
     for _ in range(60):
         ok = True
         for sign in (1.0, -1.0):
-            perturbed = h.E + (sign * t_step) * g
-            gap = TrigPoly.lincomb(
-                [(4.0, d_sq), (-1.0, to_trig_modulus_squared(perturbed))]
-            )
+            gap = circle_gap(h.E + (sign * t_step) * g, h.D)
             min_val, _ = circle_extrema(gap, tol.circle_samples)
             if min_val < -0.5 * tol.eps_residual * (1.0 + gap.max_coeff):
                 ok = False

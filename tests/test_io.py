@@ -1,3 +1,4 @@
+import cmath
 import json
 import math
 
@@ -6,10 +7,13 @@ import pytest
 from gammakit import (
     ParseError,
     Poly,
+    SynthesisSpec,
     TrigPoly,
     ValidationError,
+    eval_h,
     geodesic,
     h_nu,
+    mobius_chart,
     parse_gamma_inner,
     parse_poly,
     parse_royal_profile,
@@ -17,6 +21,7 @@ from gammakit import (
     parse_trig,
     royal_profile,
     serialize,
+    synthesize,
     trace_boundary,
     trace_to_csv,
 )
@@ -123,6 +128,30 @@ def test_trace_theta_winding_counts_degree():
         _, theta_close = mobius_chart(s, p, rows[-1].theta, h.tol)
         winding = (theta_close - rows[0].theta) / (2 * math.pi)
         assert winding == pytest.approx(h.degree)
+
+
+def test_trace_matches_pointwise_eval():
+    spec = SynthesisSpec(
+        alphas=(0.3 + 0.2j, -0.4j, 0.5),
+        taus=(1j, -1, cmath.exp(0.5j), cmath.exp(2j)),
+        sigmas=tuple(cmath.exp(1j * a) for a in (0.3, 1.2, 2.5, 4.0))
+        + (0.2, -0.3 + 0.4j, 0.6j, -0.5 - 0.2j, 0.1 - 0.6j, 0.45 + 0.45j),
+        t_plus=1.0,
+        t=0.8,
+        omega=cmath.exp(0.7j),
+    )
+    maps = [h_nu(nu, 0.5) for nu in range(4)] + [synthesize(spec)]
+    assert maps[-1].degree == 10
+    for h in maps:
+        theta = 0.0
+        for row in trace_boundary(h, 256):
+            s, p = eval_h(h, cmath.exp(1j * row.t))
+            x, theta = mobius_chart(s, p, theta, h.tol)
+            expected = (s.real, s.imag, p.real, p.imag, x, theta, 2.0 - abs(s),
+                        abs(s - s.conjugate() * p))
+            found = (row.s_re, row.s_im, row.p_re, row.p_im, row.x, row.theta,
+                     row.edge_gap, row.b_residual)
+            assert max(abs(a - b) for a, b in zip(found, expected)) <= 1e-12
 
 
 def test_trace_csv_format():

@@ -4,11 +4,13 @@ import random
 
 import pytest
 
+import gammakit.royal
 from gammakit import (
     NodeRegion,
     OrderOverflow,
     Poly,
     RoyalVariety,
+    SynthesisSpec,
     boundary_flatness,
     from_inner_pair,
     geodesic,
@@ -17,10 +19,13 @@ from gammakit import (
     is_s_extreme,
     is_superficial,
     q_factor,
+    recover_spec,
     royal_polynomial,
     royal_profile,
     superficial,
+    synthesize,
     validate,
+    witness_non_extreme,
 )
 
 from helpers import random_unimodular, same_multiset
@@ -79,6 +84,50 @@ def test_royal_profile_geodesics():
     profile = royal_profile(geodesic(1j))
     assert profile.type_pair == (1, 1)
     assert abs(profile.nodes[0].location + 1) < 1e-10  # beta^2 = -1
+
+
+@pytest.fixture
+def count_royal_solves(monkeypatch):
+    solved = []
+    solve = gammakit.royal.roots_with_multiplicity
+
+    def counting(f, tol):
+        solved.append(f)
+        return solve(f, tol)
+
+    monkeypatch.setattr(gammakit.royal, "roots_with_multiplicity", counting)
+    return solved
+
+
+def test_royal_profile_computed_once_per_map(count_royal_solves):
+    spec = SynthesisSpec(
+        alphas=(0.3 + 0.2j,), taus=(1j,), sigmas=(0.5, -1, 0.2j), t_plus=1.0, t=0.8, omega=1.0
+    )
+    h = synthesize(spec)
+    shown, hashed = repr(h), hash(h)
+    profile = royal_profile(h)
+    assert royal_profile(h) is profile
+    assert (repr(h), hash(h)) == (shown, hashed)
+    assert royal_profile(h, h.tol) is profile
+    recover_spec(h)
+    witness_non_extreme(h)
+    assert is_s_extreme(h) is False
+    assert len(count_royal_solves) == 1
+
+
+def test_royal_profile_memo_respects_tol(count_royal_solves):
+    h = h_nu(1, 0.5)
+    loose = h.tol.with_overrides(eps_root=1e-9)
+    profile = royal_profile(h)
+    other = royal_profile(h, loose)
+    assert other is not profile and other.type_pair == profile.type_pair
+    assert royal_profile(h) is profile
+    assert len(count_royal_solves) == 2
+
+    twin = h_nu(1, 0.5, loose)
+    assert twin == h and hash(twin) == hash(h)
+    assert royal_profile(twin) is not profile
+    assert len(count_royal_solves) == 3
 
 
 def test_multiplicity_identity():

@@ -37,6 +37,9 @@ def test_modulus_squared_matches_samples():
     for t in np.linspace(0, 2 * math.pi, 37):
         lam = complex(math.cos(t), math.sin(t))
         assert f.value(t) == pytest.approx(abs(e(lam)) ** 2, rel=1e-10, abs=1e-10)
+        # value and values share one Horner body; numpy's complex product may
+        # round differently from Python's, hence a few ulps of slack.
+        assert abs(f.value(t) - f.values([t])[0]) <= 1e-14 * sum(abs(c) for c in f.coeffs)
 
 
 def test_shifted_example_and_guard():
