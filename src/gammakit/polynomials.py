@@ -309,13 +309,20 @@ class _ClusterContext:
     """
 
     def __init__(self, f: Poly, eps_coeff: float = 0.0):
-        self.degree = f.degree
         self.noise = 4.0 * max(f.degree, 1) * _EPS + eps_coeff
-        self.derivs = [f]
-        g = f
-        while g.degree > 0:
-            g = g.derivative()
-            self.derivs.append(g)
+        self._derivs = [f]
+
+    def deriv(self, j: int) -> Poly | None:
+        """The j-th derivative, or None past the constant one.
+
+        The ladder is built on first use: polishing simple roots needs only
+        f and f'. Trimming in ``Poly.derivative`` can end it early.
+        """
+        while j >= len(self._derivs):
+            if self._derivs[-1].degree <= 0:
+                return None
+            self._derivs.append(self._derivs[-1].derivative())
+        return self._derivs[j]
 
     def residual_floor(self, z: complex, j: int = 0) -> float:
         """Below this, |f^{(j)}(z)| is indistinguishable from zero.
@@ -323,9 +330,10 @@ class _ClusterContext:
         Combines the evaluation bound and the declared coefficient noise,
         with a peak term so the floor stays meaningful near the origin.
         """
-        if j >= len(self.derivs):
+        g = self.deriv(j)
+        if g is None:
             return 0.0
-        cs = self.derivs[j].coeffs
+        cs = g.coeffs
         peak = max((abs(c) for c in cs), default=0.0)
         return self.noise * (_abs_bound(cs, z) + peak)
 
@@ -336,33 +344,60 @@ class _ClusterContext:
         the rounding floor within |w - z| of order (floor / |c_m|)^(1/m), so
         separate approximations inside that disc carry no information.
         """
-        if m >= len(self.derivs):
+        g = self.deriv(m)
+        if g is None:
             return math.inf
-        lead = abs(self.derivs[m](z)) / math.factorial(m)
+        lead = abs(g(z)) / math.factorial(m)
         if lead == 0.0:
             return math.inf
         return (self.residual_floor(z) / lead) ** (1.0 / m)
 
     def consistent_root(self, z: complex, m: int) -> bool:
         """Backward-error test: f and its first m-1 derivatives vanish at z."""
-        return all(
-            abs(self.derivs[j](z)) <= 32.0 * self.residual_floor(z, j)
-            for j in range(min(m, len(self.derivs)))
-        )
+        for j in range(m):
+            g = self.deriv(j)
+            if g is None:
+                break
+            if abs(g(z)) > 32.0 * self.residual_floor(z, j):
+                return False
+        return True
 
 
 def _cluster(roots, eps_root, ctx: _ClusterContext):
     """Cluster raw roots into polished (root, multiplicity) pairs.
 
-    Multiplicity hypotheses are tested from high m downward. The linkage
-    radius for a hypothesis combines the eps_root**(1/m) heuristic with the
-    residual resolvability radius at each point, capped so that genuinely
-    separated roots stay apart; a linked group is accepted only when it holds
-    at least m roots and the polished center passes the backward-error test
-    that all derivatives below order m vanish numerically. Rejected groups
-    fall through to smaller hypotheses.
+    Every linkage radius of the hypothesis walk is capped at
+    ``_CLUSTER_CAP``, so no group it forms can straddle two components of
+    the single-linkage graph at the cap. Each component is therefore walked
+    on its own, and an isolated root, the generic case, is polished as a
+    simple root without any hypothesis test. Components keep their members
+    in sorted (real, imag) order, which fixes the order of every centroid
+    sum.
     """
-    pending = [(z, 1) for z in sorted(roots, key=lambda w: (w.real, w.imag))]
+    ordered = sorted(roots, key=lambda w: (w.real, w.imag))
+    accepted = []
+    for part in _components(
+        len(ordered), lambda i, j: abs(ordered[i] - ordered[j]) <= _CLUSTER_CAP
+    ):
+        if len(part) == 1:
+            accepted.append((_polish_cluster(ctx, ordered[part[0]], 1, 0.0, eps_root), 1))
+        else:
+            accepted.extend(_cluster_component([ordered[i] for i in sorted(part)], eps_root, ctx))
+    return accepted
+
+
+def _cluster_component(roots, eps_root, ctx: _ClusterContext):
+    """Multiplicity hypotheses over the roots of one cap-level component.
+
+    Hypotheses are tested from high m downward. The linkage radius for a
+    hypothesis combines the eps_root**(1/m) heuristic with the residual
+    resolvability radius at each point, capped so that genuinely separated
+    roots stay apart; a linked group is accepted only when it holds at least
+    m roots and the polished center passes the backward-error test that all
+    derivatives below order m vanish numerically. Rejected groups fall
+    through to smaller hypotheses.
+    """
+    pending = [(z, 1) for z in roots]
     accepted = []
     for m in range(len(pending), 1, -1):
         if m > sum(w for _, w in pending):
@@ -399,18 +434,18 @@ def _polish_cluster(
     ctx: _ClusterContext, z: complex, mult: int, spread: float, eps_root: float
 ) -> complex:
     """Refine an m-fold root via Newton on the (m-1)-th derivative."""
-    if mult >= len(ctx.derivs):
+    dg = ctx.deriv(mult)
+    if dg is None:
         return z
-    g = ctx.derivs[mult - 1]
-    dg = ctx.derivs[mult] if mult < len(ctx.derivs) else None
-    if g.is_zero() or dg is None or dg.is_zero():
+    g = ctx.deriv(mult - 1)
+    if g.is_zero() or dg.is_zero():
         return z
     leash = 4.0 * (spread + min(eps_root ** (1.0 / mult), _CLUSTER_CAP)) + 1e-12
     cur = z
     best = z
-    best_val = abs(g(z))
+    gv = g(z)
+    best_val = abs(gv)
     for _ in range(12):
-        gv = g(cur)
         dgv = dg(cur)
         if dgv == 0:
             break
@@ -418,7 +453,8 @@ def _polish_cluster(
         if abs(nxt - z) > leash * (1.0 + abs(z)):
             break
         cur = nxt
-        val = abs(g(cur))
+        gv = g(cur)
+        val = abs(gv)
         if val < best_val:
             best, best_val = cur, val
         if val == 0.0:
@@ -481,8 +517,7 @@ def root_location_uncertainties(
     ctx = _ClusterContext(f, eps_coeff=eps_coeff)
     out = []
     for z, m in roots:
-        j = min(max(m - 1, 0), len(ctx.derivs) - 1)
-        noise = ctx.residual_floor(z, j)
-        slope = abs(ctx.derivs[m](z)) if m < len(ctx.derivs) else 0.0
-        out.append(noise / slope if slope > 0.0 else math.inf)
+        dg = ctx.deriv(m)
+        slope = abs(dg(z)) if dg is not None else 0.0
+        out.append(ctx.residual_floor(z, max(m - 1, 0)) / slope if slope > 0.0 else math.inf)
     return tuple(out)

@@ -231,17 +231,22 @@ def partition_circle_roots(roots, f: Poly, tol: ToleranceConfig):
     Returns (circle, inside, outside) where circle holds (point, order)
     pairs with unimodular points and order the full (even) zero order.
     """
-    uncertainties = root_location_uncertainties(f, roots, eps_coeff=tol.eps_trim)
+    # A soft annulus is never wider than reach, so only roots within reach
+    # of the circle need their location uncertainty.
+    reach = max(tol.eps_circle, 1e-4)
+    near = [(z, m) for z, m in roots if abs(abs(z) - 1.0) <= reach]
+    errs = {}
+    if near:
+        errs = dict(zip(near, root_location_uncertainties(f, near, eps_coeff=tol.eps_trim)))
     candidates = []
     inside = []
     outside = []
-    for (z, m), err in zip(roots, uncertainties):
+    for z, m in roots:
         radius = abs(z)
         gap = abs(radius - 1.0)
-        wide = max(tol.eps_circle, min(8.0 * err, 1e-4))
         if radius == 0.0:
             inside.append((z, m))
-        elif gap <= wide:
+        elif gap <= reach and gap <= max(tol.eps_circle, min(8.0 * errs[z, m], 1e-4)):
             candidates.append((z / radius, m, z, gap <= tol.eps_circle))
         elif radius > 1.0:
             outside.append((z, m))

@@ -17,6 +17,7 @@ from gammakit import (
     q_factor,
     roots_with_multiplicity,
 )
+from gammakit.polynomials import _ClusterContext
 
 from helpers import circle_points, random_poly, same_multiset
 
@@ -107,6 +108,33 @@ def test_roots_high_multiplicity_cluster():
         found[m] = z
     assert abs(found[4] - z0) < 1e-9
     assert abs(found[1] + 0.7) < 1e-9
+
+
+def test_isolated_roots_skip_hypothesis_tests(monkeypatch):
+    calls = []
+    resolvability = _ClusterContext.resolvability
+
+    def counted(self, z, m):
+        calls.append(m)
+        return resolvability(self, z, m)
+
+    monkeypatch.setattr(_ClusterContext, "resolvability", counted)
+    rng = random.Random(16)
+    wanted = []
+    while len(wanted) < 16:
+        z = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+        if all(abs(z - w) >= 0.1 for w in wanted):
+            wanted.append(z)
+    found = roots_with_multiplicity(poly_from_roots([(z, 1) for z in wanted]))
+    assert calls == []
+    assert all(m == 1 for _, m in found)
+    assert same_multiset([z for z, _ in found], wanted, 1e-8)
+
+    # A genuine cluster still goes through the hypothesis walk.
+    z0 = 0.4 + 0.3j
+    found = {m: z for z, m in roots_with_multiplicity(poly_from_roots([(z0, 4), (-0.7, 1)]))}
+    assert calls
+    assert abs(found[4] - z0) < 1e-9
 
 
 def test_roots_residual_bound():
