@@ -170,6 +170,8 @@ def _run(args, tol: ToleranceConfig) -> int:
         return 0
 
     if args.command == "trace":
+        if args.samples < 16:  # the minimum trace_boundary accepts
+            raise _UsageError(f"--samples must be at least 16, got {args.samples}")
         h = gio.parse_gamma_inner(Path(args.file).read_text(), tol)
         rows = gio.trace_boundary(h, args.samples)
         Path(args.out).write_text(gio.trace_to_csv(rows))

@@ -83,13 +83,9 @@ def _load(text: str):
 
 
 def _complex_at(node, where: str) -> complex:
-    if (
-        not isinstance(node, list)
-        or len(node) != 2
-        or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in node)
-    ):
+    if not isinstance(node, list) or len(node) != 2:
         raise ParseError("expected a [re, im] pair", where)
-    return complex(node[0], node[1])
+    return complex(_number(node[0], f"{where}[0]"), _number(node[1], f"{where}[1]"))
 
 
 def _poly_at(node, where: str) -> Poly:
@@ -107,8 +103,8 @@ def _field(doc, key: str, where: str):
 
 
 def _number(node, where: str) -> float:
-    if not isinstance(node, (int, float)) or isinstance(node, bool):
-        raise ParseError("expected a number", where)
+    if not isinstance(node, (int, float)) or isinstance(node, bool) or not math.isfinite(node):
+        raise ParseError("expected a finite number", where)
     return float(node)
 
 

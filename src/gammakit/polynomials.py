@@ -11,6 +11,8 @@ import cmath
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DegreeExceedsBound, PointOutOfRegion, ZeroPolynomial
 from .tolerances import DEFAULT_TOL, ToleranceConfig
 
@@ -151,120 +153,6 @@ def l_factor(tau: complex, tol: ToleranceConfig = DEFAULT_TOL) -> Poly:
 
 
 # -- root finding -----------------------------------------------------------
-
-
-def _horner_pair(cs, z):
-    """Value, derivative and a running modulus bound for the float error."""
-    p = cs[-1]
-    dp = 0j
-    bound = abs(cs[-1])
-    az = abs(z)
-    for c in reversed(cs[:-1]):
-        dp = dp * z + p
-        p = p * z + c
-        bound = bound * az + abs(c)
-    return p, dp, bound
-
-
-def _deflate(cs, root):
-    out = [cs[-1]]
-    for c in reversed(cs[1:-1]):
-        out.append(c + root * out[-1])
-    out.reverse()
-    return out
-
-
-def _newton(cs, z, iters=60):
-    best = z
-    best_res = abs(_horner_pair(cs, z)[0])
-    cur = z
-    for _ in range(iters):
-        p, dp, bound = _horner_pair(cs, cur)
-        if abs(p) <= 4.0 * len(cs) * _EPS * bound:
-            return cur
-        if dp == 0:
-            break
-        cur = cur - p / dp
-        res = abs(_horner_pair(cs, cur)[0])
-        if res < best_res:
-            best, best_res = cur, res
-    return best
-
-
-def _quadratic(cs):
-    c, b, a = cs
-    disc = cmath.sqrt(b * b - 4.0 * a * c)
-    if (b.conjugate() * disc).real < 0.0:
-        disc = -disc
-    q = -0.5 * (b + disc)
-    if q == 0:
-        return [-b / (2.0 * a), -b / (2.0 * a)]
-    return [q / a, c / q]
-
-
-def _aberth(cs, max_iter=400):
-    """All roots of a polynomial with nonzero constant and leading coefficient.
-
-    Simultaneous Ehrlich-Aberth iteration from a deterministic circular start.
-    Individual approximations freeze once the residual falls below the Horner
-    rounding bound, which is the attainable accuracy also at multiple roots.
-    On stagnation the best root is polished and deflated out, and the quotient
-    is re-solved.
-    """
-    d = len(cs) - 1
-    if d == 1:
-        return [-cs[0] / cs[1]]
-    if d == 2:
-        return _quadratic(cs)
-
-    radius = abs(cs[0] / cs[-1]) ** (1.0 / d)
-    z = [radius * cmath.exp(1j * (2.0 * math.pi * k / d + 0.4)) for k in range(d)]
-    frozen = [False] * d
-
-    for _ in range(max_iter):
-        moved = False
-        for k in range(d):
-            if frozen[k]:
-                continue
-            p, dp, bound = _horner_pair(cs, z[k])
-            if abs(p) <= 4.0 * d * _EPS * bound:
-                frozen[k] = True
-                continue
-            if dp == 0:
-                z[k] += (1e-6 + 1e-6j) * (1.0 + abs(z[k]))
-                moved = True
-                continue
-            newton = p / dp
-            repulsion = 0j
-            collision = False
-            for j in range(d):
-                if j == k:
-                    continue
-                diff = z[k] - z[j]
-                if diff == 0:
-                    collision = True
-                    break
-                repulsion += 1.0 / diff
-            if collision:
-                z[k] += (1e-6 + 2e-6j) * (1.0 + abs(z[k]))
-                moved = True
-                continue
-            denom = 1.0 - newton * repulsion
-            step = newton if denom == 0 else newton / denom
-            z[k] -= step
-            moved = True
-            if abs(step) <= 16.0 * _EPS * (1.0 + abs(z[k])):
-                frozen[k] = True
-        if not moved:
-            break
-
-    if not all(frozen):
-        # Stagnation fallback: peel off the best-converged root and recurse.
-        best = min(range(d), key=lambda k: abs(_horner_pair(cs, z[k])[0]))
-        root = _newton(cs, z[best])
-        rest = _aberth(_deflate(cs, root), max_iter)
-        return [root] + rest
-    return z
 
 
 _CLUSTER_CAP = 1e-2
@@ -467,10 +355,14 @@ def roots_with_multiplicity(
 ) -> tuple[tuple[complex, int], ...]:
     """All roots of f with multiplicities, clustered and centroid-polished.
 
-    Returns pairs (root, multiplicity) sorted by (real, imag); the
-    multiplicities sum to ``f.degree``. Roots closer together than the
-    accuracy attainable for their combined multiplicity are reported as one
-    root at the polished cluster centroid.
+    Returns pairs (root, multiplicity) of built-in ``complex`` and ``int``,
+    sorted by (real, imag); the multiplicities sum to ``f.degree``. Zeros at
+    the origin are counted from the trailing coefficients. The other raw
+    roots are the eigenvalues of the companion matrix (``np.roots``), which
+    are backward stable for the coefficients; ``_cluster`` then makes every
+    multiplicity decision. Roots closer together than the accuracy
+    attainable for their combined multiplicity are reported as one root at
+    the polished cluster centroid.
     """
     if f.is_zero():
         raise ZeroPolynomial("cannot extract roots of the zero polynomial")
@@ -491,7 +383,7 @@ def roots_with_multiplicity(
         clustered.append((0j, zeros_at_origin))
     if len(cs) > 1:
         ctx = _ClusterContext(f, eps_coeff=tol.eps_trim)
-        clustered.extend(_cluster(_aberth(cs), tol.eps_root, ctx))
+        clustered.extend(_cluster(np.roots(cs[::-1]).tolist(), tol.eps_root, ctx))
     clustered.sort(key=lambda item: (item[0].real, item[0].imag))
     return tuple(clustered)
 

@@ -91,6 +91,8 @@ def test_parse_errors_carry_location():
     with pytest.raises(ParseError):
         parse_poly('[["x", 0]]')
     with pytest.raises(ParseError):
+        parse_poly("[[1, NaN]]")
+    with pytest.raises(ParseError):
         parse_gamma_inner('{"E": [], "n": 1}')
 
 
@@ -287,6 +289,11 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert cli_dispatch(["no-such-command"]) == 2
     capsys.readouterr()
     assert cli_dispatch(["membership", "--s", "oops", "--p", "0,0"]) == 2
+    capsys.readouterr()
+    good = tmp_path / "h0.json"
+    assert cli_dispatch(["example", "--family", "h-nu", "--out", str(good)]) == 0
+    assert cli_dispatch(["trace", str(good), "--samples", "8",
+                         "--out", str(tmp_path / "t.csv")]) == 2
     capsys.readouterr()
 
 

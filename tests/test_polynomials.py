@@ -137,6 +137,22 @@ def test_isolated_roots_skip_hypothesis_tests(monkeypatch):
     assert abs(found[4] - z0) < 1e-9
 
 
+def test_roots_are_builtin_complex_and_int():
+    # A numpy scalar leaking out would change RoyalNode reprs under numpy 2.
+    rng = random.Random(41)
+    cases = [
+        random_poly(rng, 9),
+        poly_from_roots([(0.3 - 0.2j, 3), (0.8, 1)]),
+        Poly([0, 0, 1, -2.5, 1]),
+    ]
+    found = [roots_with_multiplicity(p) for p in cases]
+    for p, roots in zip(cases, found):
+        assert sum(m for _, m in roots) == p.degree
+        assert all(type(z) is complex and type(m) is int for z, m in roots)
+    assert 3 in [m for _, m in found[1]]
+    assert (0j, 2) in found[2]
+
+
 def test_roots_residual_bound():
     rng = random.Random(31)
     for _ in range(10):
