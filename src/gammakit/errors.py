@@ -62,7 +62,11 @@ class NotInner(GammaKitError):
 
 
 class BadParameter(GammaKitError):
-    """A canonical-example parameter is out of range."""
+    """A parameter is out of range or not finite.
+
+    Raised for canonical-example parameters outside their range and for
+    polynomial coefficients that are infinite or NaN.
+    """
 
 
 class RoyalVariety(GammaKitError):

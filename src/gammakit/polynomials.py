@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegreeExceedsBound, PointOutOfRegion, ZeroPolynomial
+from .errors import BadParameter, DegreeExceedsBound, PointOutOfRegion, ZeroPolynomial
 from .tolerances import DEFAULT_TOL, ToleranceConfig
 
 _EPS = 2.220446049250313e-16
@@ -26,17 +26,21 @@ class Poly:
 
     The zero polynomial is the empty tuple. Construction trims trailing
     coefficients whose modulus is below ``eps_trim`` times the largest
-    coefficient modulus, keeping degrees honest after cancellation.
+    coefficient modulus, keeping degrees honest after cancellation, and
+    raises :class:`BadParameter` for an infinite or NaN coefficient.
     """
 
     coeffs: tuple[complex, ...]
 
     def __init__(self, coeffs=(), eps_trim: float = _TRIM_REL):
         cs = [complex(c) for c in coeffs]
-        top = max((abs(c) for c in cs), default=0.0)
-        cutoff = eps_trim * top
+        mags = list(map(abs, cs))
+        # The sum is finite unless a modulus is not, or the sum overflows.
+        if not math.isfinite(sum(mags)) and not all(map(math.isfinite, mags)):
+            raise BadParameter("polynomial coefficients must be finite")
+        cutoff = eps_trim * max(mags, default=0.0)
         end = len(cs)
-        while end > 0 and abs(cs[end - 1]) <= cutoff:
+        while end > 0 and mags[end - 1] <= cutoff:
             end -= 1
         object.__setattr__(self, "coeffs", tuple(cs[:end]))
 
@@ -321,7 +325,12 @@ def _cluster_component(roots, eps_root, ctx: _ClusterContext):
 def _polish_cluster(
     ctx: _ClusterContext, z: complex, mult: int, spread: float, eps_root: float
 ) -> complex:
-    """Refine an m-fold root via Newton on the (m-1)-th derivative."""
+    """Refine an m-fold root via Newton on the (m-1)-th derivative, g.
+
+    Newton stops at the first step that does not lower |g|: from eigenvalue
+    starts it converges in a step or two, and later moves are rounding.
+    Returns the iterate with the smallest |g|, never one beyond the leash.
+    """
     dg = ctx.deriv(mult)
     if dg is None:
         return z
@@ -343,8 +352,9 @@ def _polish_cluster(
         cur = nxt
         gv = g(cur)
         val = abs(gv)
-        if val < best_val:
-            best, best_val = cur, val
+        if val >= best_val:
+            break
+        best, best_val = cur, val
         if val == 0.0:
             break
     return best

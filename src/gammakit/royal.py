@@ -84,25 +84,30 @@ def is_n_balanced(r: Poly, n: int, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     return min_val >= -tol.eps_residual * (1.0 + shifted.max_coeff)
 
 
-def _circle_gap_derivatives(h: GammaInner, t: float) -> tuple[float, float]:
+def _derivative_ladder(p: Poly) -> tuple[Poly, Poly, Poly]:
+    first = p.derivative()
+    return p, first, first.derivative()
+
+
+def _circle_gap_derivatives(d_ladder, e_ladder, t: float) -> tuple[float, float]:
     """First and second t-derivatives of 4|D(e^{it})|^2 - |E(e^{it})|^2.
 
     Evaluated pointwise from E and D, whose coefficients are clean; going
     through the royal polynomial's coefficients instead can lose many digits
-    on the circle when its coefficient range is large.
+    on the circle when its coefficient range is large. Each ladder holds a
+    polynomial and its first two derivatives (``_derivative_ladder``).
     """
     z = cmath.exp(1j * t)
 
-    def parts(p: Poly):
-        d1 = p.derivative()
-        d2 = d1.derivative()
+    def parts(ladder):
+        p, d1, d2 = ladder
         v0 = p(z)
         v1 = 1j * z * d1(z)
         v2 = -z * d1(z) - z * z * d2(z)
         return v0, v1, v2
 
-    d0, d1, d2 = parts(h.D)
-    e0, e1, e2 = parts(h.E)
+    d0, d1, d2 = parts(d_ladder)
+    e0, e1, e2 = parts(e_ladder)
     first = 8.0 * (d0.conjugate() * d1).real - 2.0 * (e0.conjugate() * e1).real
     second = (
         8.0 * ((d0.conjugate() * d2).real + abs(d1) ** 2)
@@ -118,9 +123,11 @@ def _refine_circle_angle(h: GammaInner, angle: float, order: int) -> float:
     has a zero of multiplicity order - 1 there; the multiplicity-aware
     Newton step converges quadratically to it.
     """
+    d_ladder = _derivative_ladder(h.D)
+    e_ladder = _derivative_ladder(h.E)
     t = angle
     for _ in range(20):
-        first, second = _circle_gap_derivatives(h, t)
+        first, second = _circle_gap_derivatives(d_ladder, e_ladder, t)
         if second == 0.0:
             break
         step = (order - 1) * first / second

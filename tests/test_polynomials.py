@@ -6,11 +6,14 @@ import pytest
 
 from gammakit import (
     DEFAULT_TOL,
+    BadParameter,
     DegreeExceedsBound,
     PointOutOfRegion,
     Poly,
+    TrigPoly,
     ZeroPolynomial,
     conj_reciprocal,
+    fejer_riesz,
     is_n_symmetric,
     l_factor,
     poly_from_roots,
@@ -135,6 +138,40 @@ def test_isolated_roots_skip_hypothesis_tests(monkeypatch):
     found = {m: z for z, m in roots_with_multiplicity(poly_from_roots([(z0, 4), (-0.7, 1)]))}
     assert calls
     assert abs(found[4] - z0) < 1e-9
+
+
+def test_simple_root_polish_stops_at_convergence(monkeypatch):
+    calls = []
+    call = Poly.__call__
+
+    def counted(self, z):
+        calls.append(z)
+        return call(self, z)
+
+    rng = random.Random(7)
+    cases = [random_poly(rng, 16) for _ in range(20)]
+    monkeypatch.setattr(Poly, "__call__", counted)
+    found = [roots_with_multiplicity(p) for p in cases]
+    monkeypatch.undo()
+    assert all(m == 1 for roots in found for _, m in roots)
+    # One |g| at the start, then g' and g per Newton step; 12 steps made 25.
+    assert len(calls) < 10 * 16 * len(cases)
+    for p, roots in zip(cases, found):
+        for z, _ in roots:
+            assert abs(p(z)) <= 1e-10 * sum(abs(c) * abs(z) ** k for k, c in enumerate(p.coeffs))
+
+
+def test_nonfinite_coefficients_rejected():
+    for bad in ([1, math.inf, 1], [1, math.nan], [complex(0.5, -math.inf), 1]):
+        with pytest.raises(BadParameter):
+            Poly(bad)
+    with pytest.raises(BadParameter):
+        roots_with_multiplicity(Poly([1, math.nan, 1]))
+    for half in ([2, math.nan], [math.inf, 1]):
+        with pytest.raises(BadParameter):
+            fejer_riesz(TrigPoly.from_half_spectrum(half))
+    # Finite coefficients whose sum overflows are still valid.
+    assert Poly([1e308, 1e308]).degree == 1
 
 
 def test_roots_are_builtin_complex_and_int():

@@ -12,10 +12,12 @@ from gammakit import (
     ZeroPolynomial,
     circle_extrema,
     fejer_riesz,
+    h_nu,
     roots_with_multiplicity,
     to_trig_modulus_squared,
     to_trig_shifted,
 )
+from gammakit.inner import circle_gap
 
 from helpers import random_poly
 
@@ -59,6 +61,106 @@ def test_circle_extrema():
     min_v, arg = circle_extrema(TrigPoly.from_half_spectrum([5, 2]), 1024)
     assert min_v == pytest.approx(1.0, abs=1e-10)
     assert arg == pytest.approx(math.pi, abs=1e-4)
+
+
+def _oracle_minimum(f: TrigPoly) -> float:
+    """Minimum of f on the circle to 50 digits.
+
+    A dense float grid locates every local minimum that can be the lowest;
+    ``findroot`` then solves f' = 0 from each in 50-digit arithmetic, and
+    the lowest 50-digit value of f at a grid point or root is the oracle.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    size = 64 * (2 * f.n + 1)
+    step = 2 * math.pi / size
+    grid = f.values(step * np.arange(size))
+    # A grid minimum lies within max|f''| h^2 / 2 of the true minimum.
+    reach = sum(k * k * abs(f.coeff(k)) for k in range(-f.n, f.n + 1)) * step**2
+    lowest = float(grid.min())
+    starts = [
+        j * step
+        for j in range(size)
+        if grid[j] <= grid[j - 1] and grid[j] <= grid[(j + 1) % size] and grid[j] <= lowest + reach
+    ]
+    with mpmath.workdps(50):
+        weights = [mpmath.mpc(f.coeff(0).real)] + [
+            2 * mpmath.mpc(f.coeff(k).real, f.coeff(k).imag) for k in range(1, f.n + 1)
+        ]
+
+        def derivative(t, order):
+            return mpmath.re(
+                sum(w * (1j * k) ** order * mpmath.expj(k * t) for k, w in enumerate(weights))
+            )
+
+        best = min(derivative(mpmath.mpf(t), 0) for t in starts)
+        for t in starts:
+            root = mpmath.findroot(
+                lambda u: derivative(u, 1),
+                mpmath.mpf(t),
+                solver="newton",
+                df=lambda u: derivative(u, 2),
+                verify=False,
+            )
+            best = min(best, derivative(root, 0))
+        return float(best)
+
+
+def _gaussian_trig(rng: random.Random, n: int) -> TrigPoly:
+    return TrigPoly.from_half_spectrum(
+        [complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(n + 1)]
+    )
+
+
+_BETWEEN_GRID = math.cos(2 * math.pi * 100.5 / 1024) + 1j * math.sin(2 * math.pi * 100.5 / 1024)
+
+ORACLE_CASES = {
+    **{
+        f"random-degree-{n}": _gaussian_trig(random.Random(1000 + n), n)
+        for n in (1, 2, 3, 5, 8, 13, 21, 32)
+    },
+    # (1 - cos t)^2: an order-4 zero at t = 0, flat to rounding over ~1e-4.
+    "order-4-zero": TrigPoly.from_half_spectrum([1.5, -1.0, 0.25]),
+    # 4 + 4 cos 5t: five tied double zeros.
+    "tied-h_nu": circle_gap(h_nu(2, 0.5).E, h_nu(2, 0.5).D),
+    # |lambda - 0.9 e^{i theta}|^2 = 1.81 - 1.8 cos(t - theta): its minimum
+    # 0.01 sits at theta, half a grid step from two grid points.
+    "between-grid": to_trig_modulus_squared(Poly([-0.9 * _BETWEEN_GRID, 1.0])),
+}
+
+
+@pytest.mark.parametrize("name", list(ORACLE_CASES))
+def test_circle_extrema_against_oracle(name):
+    f = ORACLE_CASES[name]
+    samples = 1024
+    value, angle = circle_extrema(f, samples)
+    scale = sum(abs(c) for c in f.coeffs)
+    assert abs(value - _oracle_minimum(f)) <= 1e-12 * scale
+    assert value <= float(f.values(2 * math.pi * np.arange(samples) / samples).min())
+    assert 0.0 <= angle < 2 * math.pi
+    assert abs(f.value(angle) - value) <= 1e-14 * scale
+
+
+def test_circle_extrema_newton_stops_at_convergence(monkeypatch):
+    rng = random.Random(10)
+    f = circle_gap(random_poly(rng, 10), random_poly(rng, 10))
+    angles = set()
+    call = Poly.__call__
+
+    def counted(self, z):
+        if not isinstance(z, np.ndarray):
+            angles.add(z)
+        return call(self, z)
+
+    monkeypatch.setattr(Poly, "__call__", counted)
+    _, angle = circle_extrema(f, 1024)
+    monkeypatch.undo()
+    # The minimum is nondegenerate, so Newton converges quadratically.
+    curvature = -sum(
+        k * k * f.coeff(k) * complex(math.cos(k * angle), math.sin(k * angle))
+        for k in range(-f.n, f.n + 1)
+    ).real
+    assert curvature > 1e-3 * sum(abs(c) for c in f.coeffs)
+    assert len(angles) <= 10
 
 
 def test_fejer_riesz_examples():
