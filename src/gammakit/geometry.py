@@ -13,6 +13,8 @@ import cmath
 import math
 from enum import Enum
 
+import numpy as np
+
 from .errors import NotOnTorusFiber
 from .tolerances import DEFAULT_TOL, ToleranceConfig
 
@@ -78,8 +80,24 @@ def mobius_chart(
     s = complex(s)
     p = complex(p)
     if abs(abs(p) - 1.0) > tol.eps_circle:
-        raise NotOnTorusFiber(f"|p| = {abs(p):.6g}; the chart needs |p| = 1")
+        raise NotOnTorusFiber(f"||p| - 1| = {abs(abs(p) - 1.0):.3e}; the chart needs |p| = 1")
     principal = cmath.phase(p)
     theta = principal + 2.0 * math.pi * round((branch_ref - principal) / (2.0 * math.pi))
     x = 0.5 * (s * cmath.exp(-0.5j * theta)).real
     return x, theta
+
+
+def _chart_curve(s: np.ndarray, p: np.ndarray, tol: ToleranceConfig):
+    """``mobius_chart`` chained along sampled points, as arrays (x, theta).
+
+    theta is the principal angle plus 2 pi times an integer turn count, the
+    branch nearest the previous theta (the first one's nearest 0); x is taken
+    in real arithmetic, which rounds as the scalar complex product does.
+    """
+    off = np.abs(np.abs(p) - 1.0) > tol.eps_circle
+    if off.any():  # the scalar chart raises its error for the first row off the fiber
+        mobius_chart(s[off.argmax()], p[off.argmax()], tol=tol)
+    principal = np.angle(p)
+    turns = np.cumsum(np.round(-np.diff(principal, prepend=0.0) / (2.0 * math.pi)))
+    theta = principal + 2.0 * math.pi * turns
+    return 0.5 * (s.real * np.cos(0.5 * theta) + s.imag * np.sin(0.5 * theta)), theta

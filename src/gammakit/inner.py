@@ -54,6 +54,11 @@ class GammaInner:
     def d_reflected(self) -> Poly:
         return conj_reciprocal(self.D, self.n)
 
+    @cached_property
+    def royal(self) -> Poly:
+        from .royal import royal_polynomial  # R = 4 D D~ - E^2; royal imports this module
+        return royal_polynomial(self)
+
     def eval(self, lam: complex) -> tuple[complex, complex]:
         return eval_h(self, lam)
 

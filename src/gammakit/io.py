@@ -10,11 +10,12 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from operator import attrgetter
 
 import numpy as np
 
 from .errors import GammaKitError, ParseError, ValidationError
-from .geometry import mobius_chart
+from .geometry import _chart_curve
 from .inner import GammaInner, _h_values, validate
 from .polynomials import Poly
 from .royal import NodeRegion, RoyalNode, RoyalProfile
@@ -216,39 +217,25 @@ class TraceRow:
 def trace_boundary(h: GammaInner, samples: int) -> list[TraceRow]:
     """Sample the boundary curve with a continuously unwound chart angle.
 
-    Rows sit at t_j = 2 pi j / samples. theta chains each row's value as the
-    branch reference of the next, so over one loop it increases by 2 pi times
-    the degree of h. edge_gap = 2 - |s| measures contact with the band edge
-    and b_residual = |s - conj(s) p| measures distinguished-boundary fidelity.
+    Rows sit at t_j = 2 pi j / samples. theta is the principal angle plus 2 pi
+    times an integer turn count, the branch nearest the previous row's theta,
+    so over one loop it gains 2 pi deg h. edge_gap = 2 - |s| measures contact
+    with the band edge and b_residual = |s - conj(s) p| distinguished-boundary
+    fidelity.
     """
     if samples < 16:
         raise ValueError("at least 16 samples are required")
     ts = 2.0 * math.pi * np.arange(samples) / samples
-    s_all, p_all = _h_values(h, np.exp(1j * ts))
-    rows = []
-    branch_ref = 0.0
-    for t, s, p in zip(ts.tolist(), s_all.tolist(), p_all.tolist()):
-        x, theta = mobius_chart(s, p, branch_ref, h.tol)
-        branch_ref = theta
-        rows.append(
-            TraceRow(
-                t=t,
-                s_re=s.real,
-                s_im=s.imag,
-                p_re=p.real,
-                p_im=p.imag,
-                x=x,
-                theta=theta,
-                edge_gap=2.0 - abs(s),
-                b_residual=abs(s - s.conjugate() * p),
-            )
-        )
-    return rows
+    s, p = _h_values(h, np.exp(1j * ts))
+    x, theta = _chart_curve(s, p, h.tol)
+    a, b, c, d = s.real, s.imag, p.real, p.imag
+    # |s - conj(s) p| in real arithmetic rounds as Python's complex arithmetic does.
+    twist = np.hypot(a - (a * c + b * d), b - (a * d - b * c))
+    columns = (ts, a, b, c, d, x, theta, 2.0 - np.hypot(a, b), twist)
+    return [TraceRow(*row) for row in zip(*(col.tolist() for col in columns))]
 
 
 def trace_to_csv(rows) -> str:
-    columns = TRACE_HEADER.split(",")
-    lines = [TRACE_HEADER]
-    for row in rows:
-        lines.append(",".join(repr(getattr(row, name)) for name in columns))
-    return "\n".join(lines) + "\n"
+    line = TRACE_HEADER.count(",") * "%r," + "%r\n"  # %r renders a float as repr does
+    fields = attrgetter(*TRACE_HEADER.split(","))
+    return TRACE_HEADER + "\n" + "".join([line % fields(row) for row in rows])

@@ -158,7 +158,7 @@ def royal_profile(h: GammaInner, tol: ToleranceConfig | None = None) -> RoyalPro
     if memo and h._royal_profile is not None:
         return h._royal_profile
     tol = tol or h.tol
-    r = royal_polynomial(h)
+    r = h.royal
     roots = roots_with_multiplicity(r, tol)
     try:
         circle_raw, inside, _ = partition_circle_roots(roots, r, tol)

@@ -24,7 +24,7 @@ from .errors import (
 )
 from .inner import GammaInner, circle_gap, validate
 from .polynomials import Poly, l_factor, poly_from_roots, q_factor, roots_with_multiplicity
-from .royal import royal_polynomial, royal_profile
+from .royal import royal_profile
 from .spectral import circle_extrema, fejer_riesz, to_trig_shifted
 from .tolerances import DEFAULT_TOL, ToleranceConfig
 
@@ -200,7 +200,7 @@ def recover_spec(h: GammaInner, tol: ToleranceConfig | None = None) -> Synthesis
     )
     node_product, factor = build_re(monic)
     t = _coeff_ratio(h.E, factor).real
-    t_plus = _coeff_ratio(royal_polynomial(h), node_product).real
+    t_plus = _coeff_ratio(h.royal, node_product).real
     if not t_plus > 0.0:
         raise BadSpec("recovered royal scaling is not positive")
 

@@ -70,7 +70,7 @@ def test_chart_examples():
 
 
 def test_chart_requires_unimodular_p():
-    with pytest.raises(NotOnTorusFiber):
+    with pytest.raises(NotOnTorusFiber, match=r"\|\|p\| - 1\| = 5\.000e-01"):
         mobius_chart(1, 0.5, 0.0)
 
 

@@ -1,13 +1,17 @@
 import cmath
+import itertools
 import json
 import math
+import re
 
 import pytest
 
 from gammakit import (
+    NotOnTorusFiber,
     ParseError,
     Poly,
     SynthesisSpec,
+    ToleranceConfig,
     TrigPoly,
     ValidationError,
     eval_h,
@@ -26,7 +30,7 @@ from gammakit import (
     trace_to_csv,
 )
 from gammakit.cli import cli_dispatch
-from gammakit.io import TRACE_HEADER
+from gammakit.io import TRACE_HEADER, TraceRow
 
 
 def test_poly_serialization_round_trip():
@@ -132,7 +136,8 @@ def test_trace_theta_winding_counts_degree():
         assert winding == pytest.approx(h.degree)
 
 
-def test_trace_matches_pointwise_eval():
+def _trace_maps():
+    """h_nu(0..3) and a synthesized map of degree 10."""
     spec = SynthesisSpec(
         alphas=(0.3 + 0.2j, -0.4j, 0.5),
         taus=(1j, -1, cmath.exp(0.5j), cmath.exp(2j)),
@@ -144,16 +149,51 @@ def test_trace_matches_pointwise_eval():
     )
     maps = [h_nu(nu, 0.5) for nu in range(4)] + [synthesize(spec)]
     assert maps[-1].degree == 10
-    for h in maps:
+    return maps
+
+
+def test_trace_matches_pointwise_eval():
+    # At 32 samples the degree-8 and degree-10 maps turn theta by up to
+    # nearly pi per row, so the turn count meets rows where a wrong branch
+    # is easy to pick.
+    for h, samples in itertools.product(_trace_maps(), (256, 32)):
         theta = 0.0
-        for row in trace_boundary(h, 256):
+        for row in trace_boundary(h, samples):
             s, p = eval_h(h, cmath.exp(1j * row.t))
             x, theta = mobius_chart(s, p, theta, h.tol)
+            assert round((row.theta - theta) / (2 * math.pi)) == 0
             expected = (s.real, s.imag, p.real, p.imag, x, theta, 2.0 - abs(s),
                         abs(s - s.conjugate() * p))
             found = (row.s_re, row.s_im, row.p_re, row.p_im, row.x, row.theta,
                      row.edge_gap, row.b_residual)
             assert max(abs(a - b) for a, b in zip(found, expected)) <= 1e-12
+
+
+def _reference_csv(rows) -> str:
+    columns = TRACE_HEADER.split(",")
+    lines = [TRACE_HEADER] + [",".join(repr(getattr(row, c)) for c in columns) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+def test_trace_csv_is_repr_of_every_field():
+    for h in _trace_maps():
+        rows = trace_boundary(h, 64)
+        assert trace_to_csv(rows).split("\n") == _reference_csv(rows).split("\n")
+    signed = [TraceRow(-0.0, 0.0, -0.0, 1.0, -0.0, -0.0, 0.0, 2.0, -0.0),
+              TraceRow(1e-300, -1.5e-17, 3.0, 0.1 + 0.2, -1e16, 2.0 ** 0.5, 1e300, 5e-324, 1.0)]
+    text = trace_to_csv(signed)
+    assert text == _reference_csv(signed)
+    assert text.split("\n")[1] == "-0.0,0.0,-0.0,1.0,-0.0,-0.0,0.0,2.0,-0.0"
+    assert trace_to_csv([]) == TRACE_HEADER + "\n"
+
+
+def test_trace_off_fiber_reports_deviation():
+    # With eps_circle at 1e-300, rounding alone puts |p| off the fiber.
+    h = h_nu(1, 0.3, ToleranceConfig(eps_circle=1e-300))
+    with pytest.raises(NotOnTorusFiber) as info:
+        trace_boundary(h, 1024)
+    match = re.search(r"\|\|p\| - 1\| = (\S+);", str(info.value))
+    assert match and 0.0 < float(match.group(1)) < 1e-12
 
 
 def test_trace_csv_format():

@@ -1,6 +1,7 @@
 import cmath
 import math
 import random
+import sys
 
 import pytest
 
@@ -113,6 +114,28 @@ def test_royal_profile_computed_once_per_map(count_royal_solves):
     witness_non_extreme(h)
     assert is_s_extreme(h) is False
     assert len(count_royal_solves) == 1
+
+
+def test_royal_polynomial_built_once_per_map(monkeypatch):
+    built = []
+    build = gammakit.royal.royal_polynomial
+
+    def counting(h):
+        built.append(h)
+        return build(h)
+
+    for name, module in list(sys.modules.items()):  # every gammakit module binding it
+        if name.startswith("gammakit") and getattr(module, "royal_polynomial", None) is build:
+            monkeypatch.setattr(module, "royal_polynomial", counting)
+    spec = SynthesisSpec(
+        alphas=(0.3 + 0.2j,), taus=(1j,), sigmas=(0.5, -1, 0.2j), t_plus=1.0, t=0.8, omega=1.0
+    )
+    h = synthesize(spec)
+    royal_profile(h)
+    recover_spec(h)
+    royal_profile(h, h.tol.with_overrides(eps_root=1e-9))
+    assert len(built) == 1
+    assert h.royal.coeffs == build(h).coeffs
 
 
 def test_royal_profile_memo_respects_tol(count_royal_solves):
