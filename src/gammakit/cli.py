@@ -8,9 +8,11 @@ GAMMAKIT_TOL_* environment variables, then repeated --tol KEY=VAL flags.
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import os
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from . import io as gio
@@ -23,13 +25,7 @@ from .spectral import fejer_riesz
 from .synthesis import synthesize, witness_non_extreme
 from .tolerances import DEFAULT_TOL, ToleranceConfig
 
-_TOL_FIELDS = {
-    "eps_trim": float,
-    "eps_root": float,
-    "eps_circle": float,
-    "eps_residual": float,
-    "circle_samples": int,
-}
+_TOL_FIELDS = {f.name: type(f.default) for f in fields(ToleranceConfig)}
 
 _ENV_PREFIX = "GAMMAKIT_TOL_"
 
@@ -46,13 +42,13 @@ class _Parser(argparse.ArgumentParser):
 def _parse_complex(text: str) -> complex:
     parts = text.split(",")
     try:
-        if len(parts) == 1:
-            return complex(float(parts[0]), 0.0)
-        if len(parts) == 2:
-            return complex(float(parts[0]), float(parts[1]))
+        if len(parts) in (1, 2):
+            value = complex(*map(float, parts))
+            if cmath.isfinite(value):
+                return value
     except ValueError:
         pass
-    raise _UsageError(f"expected RE or RE,IM, got {text!r}")
+    raise _UsageError(f"expected finite RE or RE,IM, got {text!r}")
 
 
 def _parse_poly_arg(text: str) -> Poly:

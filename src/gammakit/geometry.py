@@ -15,7 +15,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import NotOnTorusFiber
+from .errors import BadParameter, NotOnTorusFiber
 from .tolerances import DEFAULT_TOL, ToleranceConfig
 
 
@@ -41,10 +41,12 @@ def classify_point(
     Membership: |s| <= 2 and |s - conj(s) p| <= 1 - |p|^2. The boundary is
     the equality case of the second condition; the distinguished boundary
     additionally has |p| = 1 and s = conj(s) p. Ties resolve to the most
-    specific region.
+    specific region. A non-finite s or p raises :class:`BadParameter`.
     """
     s = complex(s)
     p = complex(p)
+    if not (cmath.isfinite(s) and cmath.isfinite(p)):
+        raise BadParameter(f"(s, p) = ({s}, {p}) is not a finite point")
     eps = tol.eps_residual
     twist = abs(s - s.conjugate() * p)
     room = 1.0 - abs(p) ** 2

@@ -108,24 +108,22 @@ def validate(
     if d.is_zero():
         failed.append("iii")
         details["iii"] = "D is the zero polynomial"
-    else:
-        if d.degree > 0 and d.degree <= n:
-            inner_limit = 1.0 - tol.eps_circle
-            outer_limit = 1.0 + tol.eps_circle
-            for z, m in roots_with_multiplicity(d, tol):
-                r = abs(z)
-                if strict:
-                    if r < outer_limit:
-                        failed.append("iii")
-                        details["iii"] = f"D has a zero of modulus {r:.9g} on the closed disc"
-                        break
-                else:
-                    if r < inner_limit:
-                        failed.append("iii")
-                        details["iii"] = f"D has a zero of modulus {r:.9g} in the open disc"
-                        break
-                    if r <= outer_limit:
-                        circle_zeros += m
+    elif d.degree > n:
+        pass  # reported under (i)
+    elif strict:
+        zero = _closed_disc_zero(d, tol)
+        if zero is not None:
+            failed.append("iii")
+            details["iii"] = f"D has a zero of modulus {abs(zero):.9g} on the closed disc"
+    elif d.degree > 0:
+        for z, m in roots_with_multiplicity(d, tol):
+            r = abs(z)
+            if r < 1.0 - tol.eps_circle:
+                failed.append("iii")
+                details["iii"] = f"D has a zero of modulus {r:.9g} in the open disc"
+                break
+            if r <= 1.0 + tol.eps_circle:
+                circle_zeros += m
 
     gap = circle_gap(e, d)
     min_val, arg_min = circle_extrema(gap, tol.circle_samples)
@@ -141,6 +139,15 @@ def validate(
     return GammaInner(E=e, D=d, n=n, tol=tol, strict=strict, d_circle_zeros=circle_zeros)
 
 
+def _closed_disc_zero(p: Poly, tol: ToleranceConfig) -> complex | None:
+    """The first computed zero of p with modulus below 1 + eps_circle, if any."""
+    if p.degree > 0:
+        for z, _ in roots_with_multiplicity(p, tol):
+            if abs(z) < 1.0 + tol.eps_circle:
+                return z
+    return None
+
+
 def eval_h(h: GammaInner, lam: complex) -> tuple[complex, complex]:
     """Evaluate (s, p) = (E/D, D~/D) at a point of the closed disc."""
     return _h_values(h, complex(lam))
@@ -153,8 +160,8 @@ def _h_values(h: GammaInner, lam):
     whose per-call overhead would dominate its cost.
     """
     many = isinstance(lam, np.ndarray)
-    far = lam.flat[np.argmax(np.abs(lam))] if many else lam
-    if abs(far) > 1.0 + h.tol.eps_circle:
+    far = lam.flat[np.argmax(np.abs(lam))] if many else lam  # argmax picks a NaN first
+    if not abs(far) <= 1.0 + h.tol.eps_circle:
         raise ValueError(f"|lambda| = {abs(far):.6g} lies outside the closed disc")
     den = h.D(lam)
     near = lam.flat[np.argmin(np.abs(den))] if many else lam
@@ -184,10 +191,8 @@ def from_inner_pair(
         )
         if gap > tol.eps_residual * (1.0 + den.max_coeff):
             raise NotInner(f"{name}: numerator is not the reflected denominator")
-        if den.degree > 0:
-            for z, _ in roots_with_multiplicity(den, tol):
-                if abs(z) < 1.0 + tol.eps_circle:
-                    raise NotInner(f"{name}: denominator vanishes on the closed disc")
+        if _closed_disc_zero(den, tol) is not None:
+            raise NotInner(f"{name}: denominator vanishes on the closed disc")
 
     a_num, b_den, a_deg = phi
     c_num, f_den, c_deg = psi
@@ -236,9 +241,7 @@ def superficial(
         m = p_den.degree
     if m < 1 or p_den.degree > m or p_den.is_zero():
         raise BadParameter("p_den must be nonzero with degree at most m >= 1")
-    if p_den.degree > 0:
-        for z, _ in roots_with_multiplicity(p_den, tol):
-            if abs(z) < 1.0 + tol.eps_circle:
-                raise BadParameter("p_den must be zero-free on the closed disc")
+    if _closed_disc_zero(p_den, tol) is not None:
+        raise BadParameter("p_den must be zero-free on the closed disc")
     e = omega * p_den + omega.conjugate() * conj_reciprocal(p_den, m)
     return validate(e, p_den, m, tol)

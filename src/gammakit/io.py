@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from operator import attrgetter
 
 import numpy as np
@@ -22,9 +22,6 @@ from .royal import NodeRegion, RoyalNode, RoyalProfile
 from .spectral import TrigPoly
 from .synthesis import SynthesisSpec
 from .tolerances import DEFAULT_TOL, ToleranceConfig
-
-TRACE_HEADER = "t,s_re,s_im,p_re,p_im,x,theta,edge_gap,b_residual"
-
 
 # -- JSON encoding ------------------------------------------------------------
 
@@ -212,6 +209,9 @@ class TraceRow:
     theta: float
     edge_gap: float
     b_residual: float
+
+
+TRACE_HEADER = ",".join(f.name for f in fields(TraceRow))
 
 
 def trace_boundary(h: GammaInner, samples: int) -> list[TraceRow]:

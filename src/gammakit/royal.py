@@ -17,9 +17,9 @@ from enum import Enum
 import numpy as np
 
 from .errors import OddCircleZero, OrderOverflow, RoyalVariety
-from .inner import GammaInner, _h_values
+from .inner import GammaInner, _h_values, circle_gap
 from .polynomials import Poly, is_n_symmetric, roots_with_multiplicity
-from .spectral import circle_extrema, partition_circle_roots, to_trig_shifted
+from .spectral import TrigPoly, circle_extrema, partition_circle_roots, to_trig_shifted
 from .tolerances import DEFAULT_TOL, ToleranceConfig
 
 
@@ -84,50 +84,21 @@ def is_n_balanced(r: Poly, n: int, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     return min_val >= -tol.eps_residual * (1.0 + shifted.max_coeff)
 
 
-def _derivative_ladder(p: Poly) -> tuple[Poly, Poly, Poly]:
-    first = p.derivative()
-    return p, first, first.derivative()
-
-
-def _circle_gap_derivatives(d_ladder, e_ladder, t: float) -> tuple[float, float]:
-    """First and second t-derivatives of 4|D(e^{it})|^2 - |E(e^{it})|^2.
-
-    Evaluated pointwise from E and D, whose coefficients are clean; going
-    through the royal polynomial's coefficients instead can lose many digits
-    on the circle when its coefficient range is large. Each ladder holds a
-    polynomial and its first two derivatives (``_derivative_ladder``).
-    """
-    z = cmath.exp(1j * t)
-
-    def parts(ladder):
-        p, d1, d2 = ladder
-        v0 = p(z)
-        v1 = 1j * z * d1(z)
-        v2 = -z * d1(z) - z * z * d2(z)
-        return v0, v1, v2
-
-    d0, d1, d2 = parts(d_ladder)
-    e0, e1, e2 = parts(e_ladder)
-    first = 8.0 * (d0.conjugate() * d1).real - 2.0 * (e0.conjugate() * e1).real
-    second = (
-        8.0 * ((d0.conjugate() * d2).real + abs(d1) ** 2)
-        - 2.0 * ((e0.conjugate() * e2).real + abs(e1) ** 2)
-    )
-    return first, second
-
-
-def _refine_circle_angle(h: GammaInner, angle: float, order: int) -> float:
+def _refine_circle_angle(gap: TrigPoly, angle: float, order: int) -> float:
     """Newton refinement of a circle node's angle at the given zero order.
 
-    The gap function vanishes to the cluster order, so its first derivative
-    has a zero of multiplicity order - 1 there; the multiplicity-aware
-    Newton step converges quadratically to it.
+    ``gap`` is the circle function 4|D|^2 - |E|^2 (``circle_gap``), whose
+    t-derivatives come from its autocorrelation coefficients. It vanishes to
+    the cluster order, so its first derivative has a zero of multiplicity
+    order - 1 there; the multiplicity-aware Newton step converges
+    quadratically to it.
     """
-    d_ladder = _derivative_ladder(h.D)
-    e_ladder = _derivative_ladder(h.E)
+    _, slope, curve = gap._angle_derivatives
     t = angle
     for _ in range(20):
-        first, second = _circle_gap_derivatives(d_ladder, e_ladder, t)
+        z = cmath.exp(1j * t)
+        first = slope(z).real
+        second = curve(z).real
         if second == 0.0:
             break
         step = (order - 1) * first / second
@@ -146,8 +117,8 @@ def royal_profile(h: GammaInner, tol: ToleranceConfig | None = None) -> RoyalPro
     the circle (located by the parity-aware snap of
     ``partition_circle_roots``, since circle zeros of R always have even
     order) carry half their order; their angles get a final Newton
-    refinement on the real circle function. Zeros outside the disc are the
-    reflected partners and are discarded.
+    refinement on the real circle function 4|D|^2 - |E|^2. Zeros outside
+    the disc are the reflected partners and are discarded.
 
     The profile for ``h.tol`` (``tol`` omitted or equal) is computed once per
     map and kept on that instance; later calls, such as those inside
@@ -167,9 +138,10 @@ def royal_profile(h: GammaInner, tol: ToleranceConfig | None = None) -> RoyalPro
 
     disc_nodes = [RoyalNode(z, m, NodeRegion.DISC) for z, m in inside]
 
+    gap = circle_gap(h.E, h.D) if circle_raw else None
     circle_nodes = []
     for z, order in circle_raw:
-        angle = _refine_circle_angle(h, cmath.phase(z), order)
+        angle = _refine_circle_angle(gap, cmath.phase(z), order)
         circle_nodes.append(RoyalNode(cmath.exp(1j * angle), order // 2, NodeRegion.CIRCLE))
 
     disc_nodes.sort(key=lambda nd: (abs(nd.location), cmath.phase(nd.location)))
@@ -203,7 +175,7 @@ def boundary_flatness(
     """
     tol = tol or h.tol
     tau = complex(tau)
-    if abs(abs(tau) - 1.0) > tol.eps_circle:
+    if not abs(abs(tau) - 1.0) <= tol.eps_circle:
         raise ValueError("tau must lie on the unit circle")
     tau /= abs(tau)
     t0 = cmath.phase(tau)

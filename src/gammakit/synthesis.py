@@ -12,6 +12,7 @@ witnesses for non-extreme maps, and combine maps sharing the same p.
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -54,21 +55,21 @@ class SynthesisSpec:
         taus = []
         for tval in self.taus:
             tval = complex(tval)
-            if abs(abs(tval) - 1.0) > tol.eps_circle:
+            if not abs(abs(tval) - 1.0) <= tol.eps_circle:
                 raise BadSpec(f"tau = {tval:.6g} is not on the unit circle")
             taus.append(tval / abs(tval))
         sigmas = []
         for sig in self.sigmas:
             sig = complex(sig)
             mod = abs(sig)
-            if mod > 1.0 + tol.eps_circle:
+            if not mod <= 1.0 + tol.eps_circle:
                 raise BadSpec(f"sigma = {sig:.6g} lies outside the closed disc")
             if abs(mod - 1.0) <= tol.eps_circle:
                 sig /= mod
             sigmas.append(sig)
 
         for a in alphas:
-            if abs(a) >= 1.0:
+            if not abs(a) < 1.0:
                 raise BadSpec(f"alpha = {a:.6g} must lie in the open disc")
         n = len(sigmas)
         if n < 1:
@@ -81,13 +82,13 @@ class SynthesisSpec:
             for tval in taus:
                 if abs(sig - tval) <= tol.eps_circle:
                     raise BadSpec(f"royal node {sig:.6g} collides with s-zero {tval:.6g}")
-        if not self.t_plus > 0.0:
-            raise BadSpec("t_plus must be strictly positive")
-        if self.t == 0.0:
-            raise BadSpec("t must be a nonzero real")
+        if not 0.0 < self.t_plus < math.inf:
+            raise BadSpec("t_plus must be strictly positive and finite")
+        if not 0.0 < abs(self.t) < math.inf:
+            raise BadSpec("t must be a nonzero finite real")
         omega = complex(self.omega)
-        if abs(omega) == 0.0:
-            raise BadSpec("omega must be unimodular")
+        if not 0.0 < abs(omega) < math.inf:
+            raise BadSpec("omega must be a nonzero finite complex")
         omega /= abs(omega)
 
         object.__setattr__(self, "alphas", alphas)
@@ -140,13 +141,6 @@ def _factored_gap_values(spec: SynthesisSpec):
     return evaluate
 
 
-def _factor_symbol(spec: SynthesisSpec, tol: ToleranceConfig) -> tuple[Poly, Poly]:
-    """E and the outer factor D0 with |D0|^2 = lambda^{-n} R + |E|^2 on the circle."""
-    r, e = build_re(spec)
-    f = to_trig_shifted(r + e * e, spec.n, tol)
-    return e, fejer_riesz(f, tol, value_fn=_factored_gap_values(spec))
-
-
 def synthesize(spec: SynthesisSpec, tol: ToleranceConfig | None = None) -> GammaInner:
     """Build the inner map of degree exactly n prescribed by the spec.
 
@@ -156,7 +150,9 @@ def synthesize(spec: SynthesisSpec, tol: ToleranceConfig | None = None) -> Gamma
     then rotated by conj(omega)) completes the pair.
     """
     tol = tol or spec.tol
-    e, d0 = _factor_symbol(spec, tol)
+    r, e = build_re(spec)
+    f = to_trig_shifted(r + e * e, spec.n, tol)
+    d0 = fejer_riesz(f, tol, value_fn=_factored_gap_values(spec))
     d = (0.5 * spec.omega.conjugate()) * d0
     return validate(e, d, spec.n, tol)
 
@@ -167,9 +163,10 @@ def recover_spec(h: GammaInner, tol: ToleranceConfig | None = None) -> Synthesis
     Royal nodes come from the royal profile, zeros of s from the roots of E
     (the reflected partners outside the disc are dropped), the scalars t and
     t_plus from coefficient ratios against the monic factor products, and
-    omega from the phase of D against the canonically normalized spectral
-    factor. Synthesizing the result reproduces h up to the real-scalar
-    representation equivalence.
+    omega as conj(D(0) / |D(0)|): synthesis sets D = conj(omega) D0 / 2 with
+    the outer factor D0 normalized to D0(0) > 0, so no second spectral
+    factorization is needed. Synthesizing the result reproduces h up to the
+    real-scalar representation equivalence.
     """
     tol = tol or h.tol
     profile = royal_profile(h, tol)
@@ -204,11 +201,8 @@ def recover_spec(h: GammaInner, tol: ToleranceConfig | None = None) -> Synthesis
     if not t_plus > 0.0:
         raise BadSpec("recovered royal scaling is not positive")
 
-    provisional = replace(monic, t_plus=t_plus, t=t)
-    _, d0 = _factor_symbol(provisional, tol)
-    ratio = _coeff_ratio(h.D, d0)
-    omega = (ratio / abs(ratio)).conjugate()
-    return replace(provisional, omega=omega)
+    at_zero = h.D.coeff(0)  # nonzero: D has no zeros in the open disc
+    return replace(monic, t_plus=t_plus, t=t, omega=(at_zero / abs(at_zero)).conjugate())
 
 
 def _coeff_ratio(num: Poly, den: Poly) -> complex:

@@ -14,6 +14,11 @@ class ToleranceConfig:
     eps_circle : half-width of the annulus classed as "on the unit circle"
     eps_residual : tolerance for verifying polynomial identities
     circle_samples : default sampling density on the unit circle
+
+    ``eps_trim`` reaches the royal polynomial, root finding, the spectral
+    factor and the pole test of ``eval_h``, but not ``Poly`` construction:
+    every ``Poly`` trims coefficients below 1e-12 times its largest one,
+    whatever the configuration says (ROADMAP defect D).
     """
 
     eps_trim: float = 1e-12

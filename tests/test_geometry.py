@@ -5,6 +5,7 @@ import random
 import pytest
 
 from gammakit import (
+    BadParameter,
     GammaRegion,
     NotOnTorusFiber,
     classify_point,
@@ -26,6 +27,14 @@ def test_classify_examples():
     assert classify_point(2, 1) is GammaRegion.DISTINGUISHED_BOUNDARY
     assert classify_point(1, 0) is GammaRegion.BOUNDARY
     assert classify_point(3, 1) is GammaRegion.OUTSIDE
+
+
+@pytest.mark.parametrize(
+    "s, p", [(math.nan, 0.3), (0, complex(0, math.nan)), (math.inf, 0), (0, -math.inf)]
+)
+def test_classify_rejects_non_finite(s, p):
+    with pytest.raises(BadParameter, match="not a finite point"):
+        classify_point(s, p)
 
 
 def test_image_of_closed_bidisc_never_outside():

@@ -92,6 +92,9 @@ def test_eval_h_examples():
 def test_eval_domain_guard():
     with pytest.raises(ValueError):
         h_nu(0, 0.5).eval(1.5)
+    for bad in (math.nan, complex(0.2, math.nan), math.inf):
+        with pytest.raises(ValueError, match="outside the closed disc"):
+            h_nu(0, 0.5).eval(bad)
 
 
 def test_eval_pole_on_domain_in_converse_mode():

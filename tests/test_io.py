@@ -200,7 +200,7 @@ def test_trace_csv_format():
     h = h_nu(0, 0.5)
     text = trace_to_csv(trace_boundary(h, 16))
     lines = text.strip().split("\n")
-    assert lines[0] == TRACE_HEADER
+    assert lines[0] == TRACE_HEADER == "t,s_re,s_im,p_re,p_im,x,theta,edge_gap,b_residual"
     assert len(lines) == 17
     first = lines[1].split(",")
     assert len(first) == 9
@@ -330,6 +330,12 @@ def test_cli_exit_codes(tmp_path, capsys):
     capsys.readouterr()
     assert cli_dispatch(["membership", "--s", "oops", "--p", "0,0"]) == 2
     capsys.readouterr()
+    for s_arg, p_arg in (("nan", "0"), ("1e400,0", "0"), ("0,0", "0,-inf")):
+        assert cli_dispatch(["membership", "--s", s_arg, "--p", p_arg]) == 2
+        assert "expected finite RE or RE,IM" in capsys.readouterr().err
+    assert cli_dispatch(["example", "--family", "geodesic", "--beta", "nan",
+                         "--out", str(tmp_path / "g.json")]) == 2
+    capsys.readouterr()
     good = tmp_path / "h0.json"
     assert cli_dispatch(["example", "--family", "h-nu", "--out", str(good)]) == 0
     assert cli_dispatch(["trace", str(good), "--samples", "8",
@@ -342,7 +348,13 @@ def test_cli_tolerance_overrides(tmp_path, capsys, monkeypatch):
     assert cli_dispatch(["--tol", "eps_root=x", "membership", "--s", "0,0", "--p", "0,0"]) == 2
     capsys.readouterr()
     assert cli_dispatch(["--tol", "nope=1", "membership", "--s", "0,0", "--p", "0,0"]) == 2
-    capsys.readouterr()
+    assert capsys.readouterr().err.startswith(
+        "error: --tol expects KEY=VAL with KEY in "
+        "['circle_samples', 'eps_circle', 'eps_residual', 'eps_root', 'eps_trim']\n"
+    )
+    assert cli_dispatch(["--tol", "circle_samples=1e3", "membership", "--s", "0,0",
+                         "--p", "0,0"]) == 2
+    assert "bad value for --tol circle_samples: '1e3'" in capsys.readouterr().err
 
     # widened residual tolerance flips a near-boundary classification
     assert cli_dispatch(["--tol", "eps_residual=0.2", "membership",

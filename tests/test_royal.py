@@ -80,6 +80,17 @@ def test_royal_profile_h1():
     assert all(nd.multiplicity == 1 for nd in profile.nodes)
 
 
+@pytest.mark.parametrize("nu", range(7))
+@pytest.mark.parametrize("r", (0.1, 0.3, 0.5, 0.7, 0.9))
+def test_h_nu_circle_nodes(nu, r):
+    # R = 4 r lambda (lambda^{2 nu + 1} + 1)^2: double zeros at the (2 nu + 1)-th roots of -1.
+    profile = royal_profile(h_nu(nu, r))
+    expected = [cmath.exp(1j * math.pi * (2 * j + 1) / (2 * nu + 1)) for j in range(2 * nu + 1)]
+    found = [nd.location for nd in profile.circle_nodes()]
+    assert same_multiset(found, expected, 1e-13)
+    assert all(nd.multiplicity == 1 for nd in profile.circle_nodes())
+
+
 def test_royal_profile_geodesics():
     assert royal_profile(geodesic(0.5)).type_pair == (1, 0)
     profile = royal_profile(geodesic(1j))
@@ -201,6 +212,12 @@ def test_boundary_flatness_matches_multiplicity():
 
 def test_boundary_flatness_geodesic():
     assert boundary_flatness(geodesic(1j), -1) == 2
+
+
+def test_boundary_flatness_rejects_tau_off_circle():
+    for tau in (0.5, math.nan, complex(math.nan, 1.0), math.inf):
+        with pytest.raises(ValueError, match="tau must lie on the unit circle"):
+            boundary_flatness(h_nu(0, 0.5), tau)
 
 
 def test_boundary_flatness_overflow_on_royal_variety():

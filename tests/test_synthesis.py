@@ -1,6 +1,7 @@
 import cmath
 import math
 import random
+import sys
 
 import pytest
 
@@ -23,9 +24,11 @@ from gammakit import (
     royal_profile,
     superficial,
     synthesize,
+    validate,
     witness_non_extreme,
 )
 
+import gammakit.spectral
 from helpers import circle_points, random_spec, same_multiset
 
 
@@ -53,6 +56,18 @@ def test_spec_invariants():
         _spec(taus=[1], sigmas=[0], t=0)
     with pytest.raises(BadSpec):
         _spec(taus=[0.5], sigmas=[0])  # tau off the circle
+    valid = dict(taus=[1], sigmas=[0])
+    for bad in (math.nan, math.inf, -math.inf):
+        for fields in (
+            dict(valid, t=bad),
+            dict(valid, t_plus=bad),
+            dict(valid, omega=complex(1.0, bad)),
+            dict(valid, taus=[bad]),
+            dict(valid, sigmas=[bad]),
+            dict(alphas=[bad], sigmas=[0, 0]),
+        ):
+            with pytest.raises(BadSpec):
+                _spec(**fields)
 
 
 def test_build_re_examples():
@@ -168,6 +183,22 @@ def test_recover_spec_geodesic_i():
     assert abs(rec.t) == pytest.approx(1.0)
 
 
+def _assert_resynthesis_matches(h, rec):
+    """synthesize(rec) equals h up to a nonzero real scalar."""
+    h2 = synthesize(rec)
+    width = max(h.n + 1, 1)
+    ratio = None
+    for a, b in zip(h.D.padded(width), h2.D.padded(width)):
+        if abs(a) > 0.1 * h.D.max_coeff:
+            ratio = b / a
+            break
+    assert ratio is not None and abs(ratio.imag) < 1e-8 * abs(ratio)
+    for a, b in zip(h.E.padded(width), h2.E.padded(width)):
+        assert abs(a * ratio - b) <= 1e-7 * (1 + h.E.max_coeff)
+    for a, b in zip(h.D.padded(width), h2.D.padded(width)):
+        assert abs(a * ratio - b) <= 1e-7 * (1 + h.D.max_coeff)
+
+
 def test_recover_round_trip_random():
     rng = random.Random(2)
     for _ in range(30):
@@ -177,18 +208,38 @@ def test_recover_round_trip_random():
         assert same_multiset(rec.sigmas, spec.sigmas, 1e-6)
         assert same_multiset(rec.alphas, spec.alphas, 1e-6)
         assert same_multiset(rec.taus, spec.taus, 1e-6)
-        h2 = synthesize(rec)
-        width = max(h.n + 1, 1)
-        ratio = None
-        for a, b in zip(h.D.padded(width), h2.D.padded(width)):
-            if abs(a) > 0.1 * h.D.max_coeff:
-                ratio = b / a
-                break
-        assert ratio is not None and abs(ratio.imag) < 1e-8 * abs(ratio)
-        for a, b in zip(h.E.padded(width), h2.E.padded(width)):
-            assert abs(a * ratio - b) <= 1e-7 * (1 + h.E.max_coeff)
-        for a, b in zip(h.D.padded(width), h2.D.padded(width)):
-            assert abs(a * ratio - b) <= 1e-7 * (1 + h.D.max_coeff)
+        assert abs(rec.omega - spec.omega) <= 1e-15
+        _assert_resynthesis_matches(h, rec)
+
+
+def test_recover_negated_representation():
+    # (-E, -D) is the same map; the recovered spec absorbs the sign into t and omega.
+    rng = random.Random(5)
+    for _ in range(10):
+        spec = random_spec(rng, n_max=8)
+        h = synthesize(spec)
+        negated = validate(-1.0 * h.E, -1.0 * h.D, h.n)
+        rec = recover_spec(negated)
+        assert rec.t == pytest.approx(-spec.t, rel=1e-9)
+        assert abs(rec.omega + spec.omega) <= 1e-15
+        _assert_resynthesis_matches(negated, rec)
+
+
+def test_recover_spec_makes_no_spectral_factorization(monkeypatch):
+    calls = []
+    factor = gammakit.spectral.fejer_riesz
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return factor(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):  # every gammakit module binding it
+        if name.startswith("gammakit") and getattr(module, "fejer_riesz", None) is factor:
+            monkeypatch.setattr(module, "fejer_riesz", counting)
+    h = synthesize(_spec(alphas=[0.3], sigmas=[0.5, cmath.exp(0.8j)], t_plus=2.0, t=1.5))
+    assert len(calls) == 1
+    recover_spec(h)
+    assert len(calls) == 1
 
 
 def test_recover_spec_repeated_nodes():
