@@ -77,11 +77,14 @@ def mobius_chart(
     walking along a curve keeps theta continuous by chaining each returned
     theta into the next call. x = Re(s e^{-i theta/2}) / 2 lies in [-1, 1]
     for genuine distinguished-boundary points; the product s e^{-i theta/2}
-    is real there because s = conj(s) p.
+    is real there because s = conj(s) p. A non-finite s, p or
+    ``branch_ref`` raises :class:`BadParameter`.
     """
     s = complex(s)
     p = complex(p)
-    if abs(abs(p) - 1.0) > tol.eps_circle:
+    if not (cmath.isfinite(s) and cmath.isfinite(p) and math.isfinite(branch_ref)):
+        raise BadParameter(f"(s, p, branch_ref) = ({s}, {p}, {branch_ref}) is not finite")
+    if not abs(abs(p) - 1.0) <= tol.eps_circle:
         raise NotOnTorusFiber(f"||p| - 1| = {abs(abs(p) - 1.0):.3e}; the chart needs |p| = 1")
     principal = cmath.phase(p)
     theta = principal + 2.0 * math.pi * round((branch_ref - principal) / (2.0 * math.pi))

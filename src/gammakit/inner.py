@@ -93,49 +93,64 @@ def validate(
     if n < 1:
         raise BadParameter("the degree bound n must be a positive integer")
 
-    failed = []
-    details = {}
-
-    if e.degree > n or d.degree > n:
-        failed.append("i")
-        details["i"] = f"deg E = {e.degree}, deg D = {d.degree} exceed n = {n}"
-
-    if not is_n_symmetric(e, n, tol):
-        failed.append("ii")
-        details["ii"] = f"E is not {n}-symmetric"
-
+    d_failure = None
     circle_zeros = 0
     if d.is_zero():
-        failed.append("iii")
-        details["iii"] = "D is the zero polynomial"
+        d_failure = "D is the zero polynomial"
     elif d.degree > n:
         pass  # reported under (i)
     elif strict:
         zero = _closed_disc_zero(d, tol)
         if zero is not None:
-            failed.append("iii")
-            details["iii"] = f"D has a zero of modulus {abs(zero):.9g} on the closed disc"
+            d_failure = f"D has a zero of modulus {abs(zero):.9g} on the closed disc"
     elif d.degree > 0:
         for z, m in roots_with_multiplicity(d, tol):
             r = abs(z)
             if r < 1.0 - tol.eps_circle:
-                failed.append("iii")
-                details["iii"] = f"D has a zero of modulus {r:.9g} in the open disc"
+                d_failure = f"D has a zero of modulus {r:.9g} in the open disc"
                 break
             if r <= 1.0 + tol.eps_circle:
                 circle_zeros += m
+    return _checked(e, d, n, tol, strict, d_failure, circle_zeros)
+
+
+def _with_numerator(
+    h: GammaInner, e: Poly, tol: ToleranceConfig | None = None
+) -> GammaInner:
+    """``validate(e, h.D, h.n, tol, strict=h.strict)`` without solving D again.
+
+    Conditions (i), (ii) and (iv) involve E and run on e. Condition (iii)
+    and the circle-zero count depend only on D, tol and strict, which h
+    shares, so they are taken from h. A ``tol`` other than ``h.tol`` runs
+    the full :func:`validate`.
+    """
+    if tol is not None and tol != h.tol:
+        return validate(e, h.D, h.n, tol, strict=h.strict)
+    return _checked(e, h.D, h.n, h.tol, h.strict, None, h.d_circle_zeros)
+
+
+def _checked(e, d, n, tol, strict, d_failure, circle_zeros) -> GammaInner:
+    """Conditions (i), (ii) and (iv) around D's (iii) failure message, if any."""
+    details = {}
+    if e.degree > n or d.degree > n:
+        details["i"] = f"deg E = {e.degree}, deg D = {d.degree} exceed n = {n}"
+
+    if not is_n_symmetric(e, n, tol):
+        details["ii"] = f"E is not {n}-symmetric"
+
+    if d_failure is not None:
+        details["iii"] = d_failure
 
     gap = circle_gap(e, d)
     min_val, arg_min = circle_extrema(gap, tol.circle_samples)
     slack = tol.eps_residual * (1.0 + gap.max_coeff)
     if min_val < -slack:
-        failed.append("iv")
         details["iv"] = (
             f"4|D|^2 - |E|^2 reaches {min_val:.3e} at angle {arg_min:.6f}"
         )
 
-    if failed:
-        raise ConditionFailed(failed, details)
+    if details:
+        raise ConditionFailed(list(details), details)
     return GammaInner(E=e, D=d, n=n, tol=tol, strict=strict, d_circle_zeros=circle_zeros)
 
 

@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import NotBalanced, NotNonnegative, OddCircleZero, ZeroPolynomial
+from .errors import BadParameter, NotBalanced, NotNonnegative, OddCircleZero, ZeroPolynomial
 from .polynomials import (
     _EPS,
     Poly,
@@ -32,7 +32,8 @@ class TrigPoly:
     """Laurent polynomial sum_{k=-n}^{n} a_k lambda^k, real on the circle.
 
     ``coeffs`` lists a_{-n} .. a_n by frequency; Hermitian symmetry
-    a_{-k} = conj(a_k) is required and makes circle values real.
+    a_{-k} = conj(a_k) is required and makes circle values real. An
+    infinite or NaN coefficient raises :class:`BadParameter`.
     """
 
     coeffs: tuple[complex, ...]
@@ -41,7 +42,11 @@ class TrigPoly:
     def __post_init__(self):
         if len(self.coeffs) != 2 * self.n + 1:
             raise ValueError("coefficient count must be 2n + 1")
-        top = max((abs(c) for c in self.coeffs), default=0.0)
+        mags = list(map(abs, self.coeffs))
+        # The sum is finite unless a modulus is not, or the sum overflows.
+        if not math.isfinite(sum(mags)) and not all(map(math.isfinite, mags)):
+            raise BadParameter("trigonometric polynomial coefficients must be finite")
+        top = max(mags, default=0.0)
         for k in range(self.n + 1):
             lo = self.coeffs[self.n - k]
             hi = self.coeffs[self.n + k]
@@ -113,14 +118,20 @@ def to_trig_modulus_squared(e: Poly) -> TrigPoly:
 
     a_k = sum_j e_{j+k} conj(e_j), which is Hermitian by construction.
     """
-    cs = e.coeffs
-    if not cs:
-        return TrigPoly.from_half_spectrum([0.0])
-    deg = len(cs) - 1
-    half = []
-    for k in range(deg + 1):
-        half.append(sum(cs[j + k] * cs[j].conjugate() for j in range(deg + 1 - k)))
-    return TrigPoly.from_half_spectrum(half)
+    return TrigPoly.from_half_spectrum(_correlation(e.coeffs, e.coeffs))
+
+
+def _correlation(a, b) -> list[complex]:
+    """Half spectrum of a conj(b) on the circle, from coefficient sequences.
+
+    c_k = sum_j a_{j+k} conj(b_j) for k = 0 .. len(a) - 1. With a = b it is
+    the autocorrelation; with a != b the negative frequencies are those of
+    the swapped pair, c_{-k} = conj(sum_j b_{j+k} conj(a_j)).
+    """
+    return [
+        sum(a[j + k] * b[j].conjugate() for j in range(min(len(b), len(a) - k)))
+        for k in range(len(a))
+    ]
 
 
 def to_trig_shifted(p: Poly, n: int, tol: ToleranceConfig = DEFAULT_TOL) -> TrigPoly:
@@ -147,6 +158,11 @@ def _grid_values(f: TrigPoly, size: int) -> np.ndarray:
     return np.fft.ifft(spectrum, norm="forward").real
 
 
+def _extrema_grid_size(n: int, samples: int) -> int:
+    """Size of ``circle_extrema``'s grid for a degree-n trigonometric polynomial."""
+    return max(int(samples), 4 * max(n, 1), 8)
+
+
 def circle_extrema(f: TrigPoly, samples: int) -> tuple[float, float]:
     """Minimum of f on the circle and the angle attaining it.
 
@@ -159,7 +175,7 @@ def circle_extrema(f: TrigPoly, samples: int) -> tuple[float, float]:
     (ROADMAP defect C). Returns the smallest value seen, grid point or
     iterate, and its angle mod 2 pi.
     """
-    samples = max(int(samples), 4 * max(f.n, 1), 8)
+    samples = _extrema_grid_size(f.n, samples)
     vals = _grid_values(f, samples)
     j = int(np.argmin(vals))
     width = 2.0 * math.pi / samples

@@ -5,6 +5,7 @@ from __future__ import annotations
 import cmath
 import math
 import random
+import sys
 
 from gammakit import Poly, SynthesisSpec
 
@@ -89,3 +90,17 @@ def same_multiset(found, expected, tol: float) -> bool:
         else:
             return False
     return not remaining
+
+
+def count_calls(monkeypatch, name: str, original) -> list:
+    """Record the calls to ``original`` made through any gammakit module binding it as ``name``."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for module_name, module in list(sys.modules.items()):
+        if module_name.startswith("gammakit") and getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, counting)
+    return calls

@@ -83,6 +83,22 @@ def test_chart_requires_unimodular_p():
         mobius_chart(1, 0.5, 0.0)
 
 
+@pytest.mark.parametrize(
+    "s, p, branch_ref",
+    [
+        (math.nan, 1, 0.0),
+        (1, math.nan, 0.0),
+        (complex(0, math.inf), 1, 0.0),
+        (0, complex(1, -math.inf), 0.0),
+        (2, 1, math.nan),
+        (2, 1, -math.inf),
+    ],
+)
+def test_chart_rejects_non_finite(s, p, branch_ref):
+    with pytest.raises(BadParameter, match="is not finite"):
+        mobius_chart(s, p, branch_ref)
+
+
 def test_chart_branch_tracking():
     # Walk p = e^{i t} past the principal-branch cut; theta must not jump.
     branch = 0.0

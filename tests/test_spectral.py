@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from gammakit import (
+    BadParameter,
     NotBalanced,
     NotNonnegative,
     Poly,
@@ -241,3 +242,17 @@ def test_trig_poly_rejects_non_hermitian():
         TrigPoly((1j, 2.0, 1j), 1)
     with pytest.raises(ValueError):
         TrigPoly((1.0, 2.0), 1)
+
+
+@pytest.mark.parametrize(
+    "coeffs, n",
+    [((math.nan,), 0), ((math.inf,), 0), ((complex(0, -math.inf), 1.0, complex(0, math.inf)), 1)],
+)
+def test_trig_poly_rejects_non_finite(coeffs, n):
+    with pytest.raises(BadParameter, match="must be finite"):
+        TrigPoly(coeffs, n)
+
+
+def test_trig_poly_accepts_large_finite_coefficients():
+    f = TrigPoly.from_half_spectrum([1e308, 1e308])  # the modulus sum overflows
+    assert f.coeffs == (1e308, 1e308, 1e308)

@@ -1,7 +1,6 @@
 import cmath
 import math
 import random
-import sys
 
 import pytest
 
@@ -28,8 +27,9 @@ from gammakit import (
     witness_non_extreme,
 )
 
+import gammakit.polynomials
 import gammakit.spectral
-from helpers import circle_points, random_spec, same_multiset
+from helpers import circle_points, count_calls, random_spec, same_multiset
 
 
 def _spec(alphas=(), taus=(), sigmas=(), t_plus=1.0, t=1.0, omega=1.0):
@@ -226,16 +226,7 @@ def test_recover_negated_representation():
 
 
 def test_recover_spec_makes_no_spectral_factorization(monkeypatch):
-    calls = []
-    factor = gammakit.spectral.fejer_riesz
-
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return factor(*args, **kwargs)
-
-    for name, module in list(sys.modules.items()):  # every gammakit module binding it
-        if name.startswith("gammakit") and getattr(module, "fejer_riesz", None) is factor:
-            monkeypatch.setattr(module, "fejer_riesz", counting)
+    calls = count_calls(monkeypatch, "fejer_riesz", gammakit.spectral.fejer_riesz)
     h = synthesize(_spec(alphas=[0.3], sigmas=[0.5, cmath.exp(0.8j)], t_plus=2.0, t=1.5))
     assert len(calls) == 1
     recover_spec(h)
@@ -292,6 +283,22 @@ def test_witness_odd_degree_with_circle_node():
     sp, _ = hp.eval(lam)
     sm, _ = hm.eval(lam)
     assert abs(0.5 * (sp + sm) - s) < 1e-10
+
+
+def test_witness_checks_shared_denominator_once(monkeypatch):
+    spec = _spec(alphas=[0.4], taus=[1j], sigmas=[-1, 0.2, 0.3j], t_plus=1.2, t=0.8)
+    h = synthesize(spec)
+    royal_profile(h)  # memoized on h, as recover_spec leaves it
+    extrema = count_calls(monkeypatch, "circle_extrema", gammakit.spectral.circle_extrema)
+    roots = count_calls(
+        monkeypatch, "roots_with_multiplicity", gammakit.polynomials.roots_with_multiplicity
+    )
+    _, h_plus, h_minus = witness_non_extreme(h)
+    assert len(extrema) <= 4
+    assert not roots
+    monkeypatch.undo()
+    for found in (h_plus, h_minus):
+        assert found == validate(found.E, h.D, h.n)
 
 
 def test_witness_rejects_extreme():
@@ -352,6 +359,22 @@ def test_convex_combine_rescaled_denominator():
     assert mid.n == h.n
     lam = 0.2 + 0.1j
     assert mid.eval(lam)[0] == pytest.approx(h.eval(lam)[0], abs=1e-12)
+
+
+@pytest.mark.parametrize("strict", [True, False])
+def test_convex_combine_checks_shared_denominator_once(monkeypatch, strict):
+    h = validate(Poly([0.5, 1.0, 0.5]), Poly([1.0, 1.0]), 2, strict=False)  # D(-1) = 0
+    if strict:
+        h = synthesize(_spec(alphas=[0.4], taus=[1j], sigmas=[-1, 0.2, 0.3j], t_plus=1.2))
+    _, h_plus, h_minus = witness_non_extreme(h)
+    roots = count_calls(
+        monkeypatch, "roots_with_multiplicity", gammakit.polynomials.roots_with_multiplicity
+    )
+    mid = convex_combine(h_plus, h_minus, 0.5)
+    assert not roots
+    monkeypatch.undo()
+    expected = validate(0.5 * h_plus.E + 0.5 * h_minus.E, h.D, h.n, strict=strict)
+    assert mid == expected and mid.d_circle_zeros == (0 if strict else 1)
 
 
 def test_convex_combine_rejects_different_p():
