@@ -55,6 +55,11 @@ class GammaInner:
         return conj_reciprocal(self.D, self.n)
 
     @cached_property
+    def gap(self) -> TrigPoly:
+        """The circle gap 4 |D|^2 - |E|^2 (``circle_gap``) of this map."""
+        return circle_gap(self.E, self.D)
+
+    @cached_property
     def royal(self) -> Poly:
         from .royal import royal_polynomial  # R = 4 D D~ - E^2; royal imports this module
         return royal_polynomial(self)
@@ -141,9 +146,9 @@ def _checked(e, d, n, tol, strict, d_failure, circle_zeros) -> GammaInner:
     if d_failure is not None:
         details["iii"] = d_failure
 
-    gap = circle_gap(e, d)
-    min_val, arg_min = circle_extrema(gap, tol.circle_samples)
-    slack = tol.eps_residual * (1.0 + gap.max_coeff)
+    h = GammaInner(E=e, D=d, n=n, tol=tol, strict=strict, d_circle_zeros=circle_zeros)
+    min_val, arg_min = circle_extrema(h.gap, tol.circle_samples)
+    slack = tol.eps_residual * (1.0 + h.gap.max_coeff)
     if min_val < -slack:
         details["iv"] = (
             f"4|D|^2 - |E|^2 reaches {min_val:.3e} at angle {arg_min:.6f}"
@@ -151,7 +156,7 @@ def _checked(e, d, n, tol, strict, d_failure, circle_zeros) -> GammaInner:
 
     if details:
         raise ConditionFailed(list(details), details)
-    return GammaInner(E=e, D=d, n=n, tol=tol, strict=strict, d_circle_zeros=circle_zeros)
+    return h
 
 
 def _closed_disc_zero(p: Poly, tol: ToleranceConfig) -> complex | None:

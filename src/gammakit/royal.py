@@ -17,7 +17,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import OddCircleZero, OrderOverflow, RoyalVariety
-from .inner import GammaInner, _h_values, circle_gap
+from .inner import GammaInner, _h_values
 from .polynomials import Poly, is_n_symmetric, roots_with_multiplicity
 from .spectral import TrigPoly, circle_extrema, partition_circle_roots, to_trig_shifted
 from .tolerances import DEFAULT_TOL, ToleranceConfig
@@ -87,7 +87,7 @@ def is_n_balanced(r: Poly, n: int, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
 def _refine_circle_angle(gap: TrigPoly, angle: float, order: int) -> float:
     """Newton refinement of a circle node's angle at the given zero order.
 
-    ``gap`` is the circle function 4|D|^2 - |E|^2 (``circle_gap``), whose
+    ``gap`` is the circle function 4|D|^2 - |E|^2 (``GammaInner.gap``), whose
     t-derivatives come from its autocorrelation coefficients. It vanishes to
     the cluster order, so its first derivative has a zero of multiplicity
     order - 1 there; the multiplicity-aware Newton step converges
@@ -138,10 +138,9 @@ def royal_profile(h: GammaInner, tol: ToleranceConfig | None = None) -> RoyalPro
 
     disc_nodes = [RoyalNode(z, m, NodeRegion.DISC) for z, m in inside]
 
-    gap = circle_gap(h.E, h.D) if circle_raw else None
     circle_nodes = []
     for z, order in circle_raw:
-        angle = _refine_circle_angle(gap, cmath.phase(z), order)
+        angle = _refine_circle_angle(h.gap, cmath.phase(z), order)
         circle_nodes.append(RoyalNode(cmath.exp(1j * angle), order // 2, NodeRegion.CIRCLE))
 
     disc_nodes.sort(key=lambda nd: (abs(nd.location), cmath.phase(nd.location)))

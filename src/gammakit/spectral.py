@@ -167,20 +167,27 @@ def circle_extrema(f: TrigPoly, samples: int) -> tuple[float, float]:
     """Minimum of f on the circle and the angle attaining it.
 
     Takes f on a uniform grid (at least four samples per frequency) from one
-    inverse FFT, then refines the best grid point t_j by safeguarded Newton
-    on f' inside [t_j - h, t_j + h], h the grid step: where f'' <= 0 or a
-    step would leave the bracket, it bisects instead. The refinement stops
-    when a step is below 1e-13 or |f'| is at its rounding floor
-    8 eps sum |k a_k|. It estimates the minimum; it does not certify it
-    (ROADMAP defect C). Returns the smallest value seen, grid point or
-    iterate, and its angle mod 2 pi.
+    inverse FFT and refines its lowest point with ``_refine_minimum``. It
+    estimates the minimum; it does not certify it (ROADMAP defect C).
+    Returns the smallest value seen, grid point or iterate, and its angle
+    mod 2 pi.
     """
-    samples = _extrema_grid_size(f.n, samples)
-    vals = _grid_values(f, samples)
-    j = int(np.argmin(vals))
-    width = 2.0 * math.pi / samples
+    return _refine_minimum(f, _grid_values(f, _extrema_grid_size(f.n, samples)))
+
+
+def _refine_minimum(f: TrigPoly, grid_values) -> tuple[float, float]:
+    """Refine the lowest of f's values at the angles 2 pi m / len(grid_values).
+
+    Safeguarded Newton on f' inside [t_j - h, t_j + h], t_j the best grid
+    point and h the grid step: where f'' <= 0 or a step would leave the
+    bracket, it bisects instead. The refinement stops when a step is below
+    1e-13 or |f'| is at its rounding floor 8 eps sum |k a_k|. Returns the
+    smallest value seen, grid point or iterate, and its angle mod 2 pi.
+    """
+    j = int(np.argmin(grid_values))
+    width = 2.0 * math.pi / len(grid_values)
     best_t = j * width
-    best_v = float(vals[j])
+    best_v = float(grid_values[j])
 
     value, slope, curve = f._angle_derivatives
     floor = 8.0 * _EPS * sum(abs(c) for c in slope.coeffs)
@@ -214,25 +221,21 @@ def _grid_residual(values, fv):
     return float(np.max(np.abs(np.abs(values) ** 2 - fv)))
 
 
-def _wilson_refine(coeffs, f: TrigPoly, degree: int, rounds: int = 4, values=None):
+def _wilson_refine(coeffs, f: TrigPoly, degree: int):
     """Newton refinement of a spectral factor (Wilson's method).
 
     Solves |D|^2 = f on the circle: with u the analytic projection of
     f / |D_k|^2 - 1 (half weight on the constant), D_{k+1} = D_k (1 + u)
-    truncated to the factor degree. Quadratic convergence cleans up the
-    rounding accumulated while expanding the root product. ``values``, when
-    given, supplies exact circle samples of f on an angle grid (callers with
-    a factored representation evaluate far more accurately than the
-    coefficient form allows). Returns the coefficient array achieving the
-    smaller sampled residual.
+    truncated to the factor degree, for four rounds. Quadratic convergence
+    cleans up the rounding accumulated while expanding the root product.
+    The samples of f come from its coefficients on a power-of-two angle
+    grid. Returns the coefficient array achieving the smaller sampled
+    residual.
     """
     size = 1
     while size < 16 * (2 * f.n + 2):
         size *= 2
-    if values is None:
-        fv = _grid_values(f, size)
-    else:
-        fv = np.asarray(values(2.0 * math.pi * np.arange(size) / size), dtype=float)
+    fv = _grid_values(f, size)
 
     # The FFT is the Newton step's projection onto the analytic part; it also
     # gives all grid values in O(N log N), where Horner would cost O(N d).
@@ -248,7 +251,7 @@ def _wilson_refine(coeffs, f: TrigPoly, degree: int, rounds: int = 4, values=Non
     current = best
     current_values = best_values
     floor = 1e-300 + 1e-18 * float(np.max(np.abs(current_values)) ** 2)
-    for _ in range(rounds):
+    for _ in range(4):
         power = np.abs(current_values) ** 2
         ratio = np.where(power > floor, fv / np.maximum(power, floor) - 1.0, 0.0)
         spectrum = np.fft.fft(ratio) / size
@@ -343,9 +346,7 @@ def partition_circle_roots(roots, f: Poly, tol: ToleranceConfig):
     return circle, inside, outside
 
 
-def fejer_riesz(
-    f: TrigPoly, tol: ToleranceConfig = DEFAULT_TOL, value_fn=None
-) -> Poly:
+def fejer_riesz(f: TrigPoly, tol: ToleranceConfig = DEFAULT_TOL) -> Poly:
     """Outer spectral factor D of a nonnegative trigonometric polynomial.
 
     Returns D with no roots inside the unit disc, |D|^2 = f on the circle and
@@ -353,9 +354,8 @@ def fejer_riesz(
     is built by pairing the roots of lambda^n f(lambda): each pair (zeta,
     1/conj(zeta)) contributes its outside member, and circle zero clusters
     (necessarily of even order) contribute half their multiplicity. A Newton
-    cleanup pass then removes the expansion rounding; ``value_fn`` may
-    supply exact circle samples of f (angles -> values) for callers that
-    know f in a well-conditioned factored form.
+    cleanup pass (``_wilson_refine``, on f's own coefficients) then removes
+    the expansion rounding.
 
     Raises ``NotNonnegative`` when the circle minimum is below -eps_residual
     (relative), and ``OddCircleZero`` when a circle zero cluster has odd
@@ -396,14 +396,7 @@ def fejer_riesz(
     if not on_circle:
         # Newton cleanup of the expansion rounding; skipped when the factor
         # carries exact circle zeros, which refinement would split.
-        scaled_values = None
-        if value_fn is not None:
-
-            def scaled_values(ts):
-                return np.asarray(value_fn(ts), dtype=float) / scale
-
-        refined = _wilson_refine(factor.padded(top + 1), g, top, values=scaled_values)
-        factor = Poly(refined)
+        factor = Poly(_wilson_refine(factor.padded(top + 1), g, top))
 
     factor = math.sqrt(scale) * factor
     at_zero = factor(0j)

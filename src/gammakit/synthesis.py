@@ -23,10 +23,8 @@ from .errors import (
     ExtremeNoWitness,
     GammaKitError,
 )
-from .inner import GammaInner, _with_numerator, circle_gap, validate
+from .inner import GammaInner, _with_numerator, validate
 from .polynomials import (
-    _EPS,
-    _TRIM_REL,
     Poly,
     l_factor,
     poly_from_roots,
@@ -39,7 +37,7 @@ from .spectral import (
     _correlation,
     _extrema_grid_size,
     _grid_values,
-    circle_extrema,
+    _refine_minimum,
     fejer_riesz,
     to_trig_modulus_squared,
     to_trig_shifted,
@@ -134,30 +132,6 @@ def build_re(spec: SynthesisSpec) -> tuple[Poly, Poly]:
     return r, e
 
 
-def _factored_gap_values(spec: SynthesisSpec):
-    """Exact circle samples of lambda^{-n} R + |E|^2 from the factored form.
-
-    Each elementary factor is O(1), so the values keep machine-relative
-    accuracy even where the assembled coefficients would cancel badly; this
-    feeds the spectral factor refinement.
-    """
-
-    def evaluate(ts):
-        lam = np.exp(1j * np.asarray(ts, dtype=float))
-        royal = np.full(lam.shape, spec.t_plus, dtype=complex)
-        for sig in spec.sigmas:
-            royal *= (lam - sig) * (1.0 - sig.conjugate() * lam)
-        royal /= lam ** spec.n
-        e_vals = np.full(lam.shape, spec.t, dtype=complex)
-        for alpha in spec.alphas:
-            e_vals *= (lam - alpha) * (1.0 - alpha.conjugate() * lam)
-        for tau in spec.taus:
-            e_vals *= lam - tau
-        return royal.real + np.abs(e_vals) ** 2
-
-    return evaluate
-
-
 def synthesize(spec: SynthesisSpec, tol: ToleranceConfig | None = None) -> GammaInner:
     """Build the inner map of degree exactly n prescribed by the spec.
 
@@ -169,7 +143,7 @@ def synthesize(spec: SynthesisSpec, tol: ToleranceConfig | None = None) -> Gamma
     tol = tol or spec.tol
     r, e = build_re(spec)
     f = to_trig_shifted(r + e * e, spec.n, tol)
-    d0 = fejer_riesz(f, tol, value_fn=_factored_gap_values(spec))
+    d0 = fejer_riesz(f, tol)
     d = (0.5 * spec.omega.conjugate()) * d0
     return validate(e, d, spec.n, tol)
 
@@ -258,61 +232,6 @@ def _perturbation_direction(h: GammaInner, circle_taus) -> Poly:
     return front * poly_from_roots(roots)
 
 
-class _GapPencil:
-    """The circle gap 4|D|^2 - |E + u g|^2 = G0 - u X - u^2 Q for real u.
-
-    G0 = ``circle_gap(E, D)``, X = E conj(g) + g conj(E) and Q = |g|^2 on
-    the circle. Their values are kept on the one grid ``circle_extrema``
-    uses for every E + u g, which exists when its size rule gives the same
-    size for the degrees of D alone and of D, E and g together; otherwise
-    ``rules_out`` never rules a trial out.
-    """
-
-    def __init__(self, e: Poly, g: Poly, d: Poly, tol: ToleranceConfig):
-        forward = _correlation(e.coeffs, g.coeffs)
-        backward = _correlation(g.coeffs, e.coeffs)
-        cross = np.zeros(max(len(forward), len(backward), 1), dtype=complex)
-        cross[: len(forward)] += forward
-        cross[: len(backward)] += backward
-        terms = (circle_gap(e, d), TrigPoly.from_half_spectrum(cross), to_trig_modulus_squared(g))
-        self.tops = [f.max_coeff for f in terms]
-        self.norms = [sum(map(abs, p.coeffs)) for p in (d, e, g)]
-        self.eps_residual = tol.eps_residual
-        size = _extrema_grid_size(d.degree, tol.circle_samples)
-        self.grid = None
-        if size == _extrema_grid_size(max(d.degree, e.degree, g.degree), tol.circle_samples):
-            gap0, cross_values, square = (_grid_values(f, size) for f in terms)
-            self.grid = (gap0, np.abs(cross_values), square)
-            length = max(len(p.coeffs) for p in (d, e, g))
-            self.rounding = 2.1 * length * _TRIM_REL + 32.0 * _EPS * (
-                length + 2 + math.log2(size) * math.sqrt(size)
-            )
-
-    def rules_out(self, t: float) -> bool:
-        """True only if the halving trial at t fails for E + t g or E - t g.
-
-        That trial fails when ``circle_extrema`` puts either gap below
-        -0.5 eps_residual (1 + max coefficient), and ``circle_extrema``
-        returns its grid's minimum or lower. The grid minimum over both
-        signs is that of G0 - t|X| - t^2 Q, and the max coefficient is at
-        most the sum of the terms' weighted maxima. ``margin`` bounds how
-        far the pencil's values and maxima can lie from those the trial
-        computes: trimming of E +- t g (at most 2 _TRIM_REL per coefficient
-        of a squared modulus), then rounding in the sums, the correlations
-        and the FFTs, all relative to the l1 weight
-        4 |D|_1^2 + (|E|_1 + t |g|_1)^2 that bounds every coefficient sum.
-        """
-        if self.grid is None:
-            return False
-        d_norm, e_norm, g_norm = self.norms
-        margin = self.rounding * (4.0 * d_norm * d_norm + (e_norm + t * g_norm) ** 2)
-        gap_top, cross_top, square_top = self.tops
-        top = gap_top + t * cross_top + (t * t) * square_top
-        slack = 0.5 * self.eps_residual * (1.0 + top + margin)
-        gap0, cross, square = self.grid
-        return float(np.min(gap0 - t * cross - (t * t) * square)) < -(slack + margin)
-
-
 def witness_non_extreme(
     h: GammaInner, tol: ToleranceConfig | None = None
 ) -> tuple[float, GammaInner, GammaInner]:
@@ -322,22 +241,19 @@ def witness_non_extreme(
     The perturbation size t starts at 1 and halves until the circle minimum
     of 4 |D|^2 - |E +- t g|^2 is nonnegative for both signs, up to the
     slack 0.5 eps_residual (1 + max coefficient); a small enough t always
-    succeeds when 2k <= n. ``circle_extrema`` estimates that minimum by a
-    grid scan plus local refinement, not a certified bound (ROADMAP defect
-    C). Raises ``ExtremeNoWitness`` when 2k > n, in which case no
-    decomposition exists.
+    succeeds when 2k <= n. Raises ``ExtremeNoWitness`` when 2k > n, in which
+    case no decomposition exists.
 
-    The gap is a quadratic pencil in t, G0 -+ t X - t^2 Q with
-    G0 = 4|D|^2 - |E|^2, X = E conj(g) + g conj(E) and Q = |g|^2, so their
-    coefficients and their values on ``circle_extrema``'s grid (its size
-    rule, angles 2 pi m / size) are computed once per call. A halving is
-    skipped when the grid minimum of G0 - t|X| - t^2 Q lies below minus the
-    largest slack the trial could use, by more than a stated rounding
-    margin (``_GapPencil.rules_out``). ``circle_extrema`` returns its grid's
-    minimum or lower, so a skipped trial cannot pass; every other trial runs
-    the full ``circle_gap`` plus ``circle_extrema`` test, and t, h+ and h-
-    are those of the search without the screen. h+ and h- share D, tol and
-    strict with h, so only the conditions involving E are checked again.
+    For real u the gap is the quadratic pencil G0 - u X - u^2 Q with
+    G0 = 4|D|^2 - |E|^2 (``h.gap``), X = E conj(g) + g conj(E) and
+    Q = |g|^2. Their coefficients and their values on ``circle_extrema``'s
+    grid are computed once per call, and each trial u = +-t tests the
+    weighted sum of those grids: it fails when the grid minimum is below
+    the slack and otherwise refines it as ``circle_extrema`` does. That is
+    an estimate of the minimum, not a certified bound (ROADMAP defect C).
+    h+ and h- are then validated by ``_with_numerator``, which shares D,
+    tol and strict with h and checks the conditions involving E, (iv)
+    included, on E +- t g itself.
     """
     tol = tol or h.tol
     profile = royal_profile(h, tol)
@@ -350,25 +266,38 @@ def witness_non_extreme(
     for node in profile.circle_nodes():
         circle_taus.extend([node.location] * node.multiplicity)
     g = _perturbation_direction(h, circle_taus)
-    pencil = _GapPencil(h.E, g, h.D, tol)
+
+    forward = _correlation(h.E.coeffs, g.coeffs)
+    backward = _correlation(g.coeffs, h.E.coeffs)
+    cross = np.zeros(max(len(forward), len(backward), 1), dtype=complex)
+    cross[: len(forward)] += forward
+    cross[: len(backward)] += backward
+    pencil = (h.gap, TrigPoly.from_half_spectrum(cross), to_trig_modulus_squared(g))
+    size = _extrema_grid_size(max(f.n for f in pencil), tol.circle_samples)
+    grids = [_grid_values(f, size) for f in pencil]
 
     t_step = 1.0
     for _ in range(60):
-        if not pencil.rules_out(t_step):
-            pair = [h.E + (sign * t_step) * g for sign in (1.0, -1.0)]
-            if all(_admissible(circle_gap(e, h.D), tol) for e in pair):
-                break
+        if all(_admissible(pencil, grids, u, tol) for u in (t_step, -t_step)):
+            break
         t_step *= 0.5
     else:
         raise GammaKitError("no admissible perturbation size found in 60 halvings")
 
-    h_plus, h_minus = (_with_numerator(h, e, tol) for e in pair)
+    h_plus, h_minus = (_with_numerator(h, h.E + u * g, tol) for u in (t_step, -t_step))
     return t_step, h_plus, h_minus
 
 
-def _admissible(gap: TrigPoly, tol: ToleranceConfig) -> bool:
-    min_val, _ = circle_extrema(gap, tol.circle_samples)
-    return not min_val < -0.5 * tol.eps_residual * (1.0 + gap.max_coeff)
+def _admissible(pencil, grids, u: float, tol: ToleranceConfig) -> bool:
+    """Whether the pencil's circle minimum at u clears -0.5 eps_residual (1 + max coefficient)."""
+    weights = (1.0, -u, -u * u)
+    gap = TrigPoly.lincomb(list(zip(weights, pencil)))
+    floor = -0.5 * tol.eps_residual * (1.0 + gap.max_coeff)
+    values = grids[0] - u * grids[1] - (u * u) * grids[2]
+    if float(np.min(values)) < floor:
+        return False
+    min_val, _ = _refine_minimum(gap, values)
+    return not min_val < floor
 
 
 def convex_combine(h1: GammaInner, h2: GammaInner, t: float) -> GammaInner:

@@ -290,11 +290,14 @@ def test_witness_checks_shared_denominator_once(monkeypatch):
     h = synthesize(spec)
     royal_profile(h)  # memoized on h, as recover_spec leaves it
     extrema = count_calls(monkeypatch, "circle_extrema", gammakit.spectral.circle_extrema)
+    gaps = count_calls(monkeypatch, "circle_gap", gammakit.inner.circle_gap)
     roots = count_calls(
         monkeypatch, "roots_with_multiplicity", gammakit.polynomials.roots_with_multiplicity
     )
     _, h_plus, h_minus = witness_non_extreme(h)
-    assert len(extrema) <= 4
+    # Trials run on the pencil of h's cached gap; only the (iv) checks of h+- remain.
+    assert len(extrema) == 2
+    assert len(gaps) == 2
     assert not roots
     monkeypatch.undo()
     for found in (h_plus, h_minus):

@@ -1,10 +1,11 @@
-"""witness_non_extreme against the unscreened halving search it replaced.
+"""witness_non_extreme against the per-trial halving search.
 
-``reference_witness_non_extreme`` is the earlier search, kept verbatim: it
-runs the full ``circle_gap`` plus ``circle_extrema`` test at every halving
-and validates h+ and h- from scratch. The screened search must return the
-same t and bit-identical h+ and h- (E, D, n, strict and d_circle_zeros), or
-raise the same error.
+``reference_witness_non_extreme`` is an earlier search, kept verbatim: it
+rebuilds ``circle_gap`` for E +- t g and runs ``circle_extrema`` at every
+halving, and validates h+ and h- from scratch. The search under test runs
+each trial on the precomputed quadratic pencil G0 -+ t X - t^2 Q instead;
+it must return the same t and bit-identical h+ and h- (E, D, n, strict and
+d_circle_zeros), or raise the same error.
 """
 
 import dataclasses
