@@ -262,19 +262,23 @@ def _cluster(roots, eps_root, ctx: _ClusterContext):
     ``_CLUSTER_CAP``, so no group it forms can straddle two components of
     the single-linkage graph at the cap. Each component is therefore walked
     on its own, and an isolated root, the generic case, is polished as a
-    simple root without any hypothesis test. Components keep their members
-    in sorted (real, imag) order, which fixes the order of every centroid
-    sum.
+    simple root without any hypothesis test. A sweep over the sorted roots
+    finds the linked ones, as a partner within the cap is within it in real
+    part. Components keep their members in sorted (real, imag) order, which
+    fixes the order of every centroid sum.
     """
     ordered = sorted(roots, key=lambda w: (w.real, w.imag))
-    accepted = []
-    for part in _components(
-        len(ordered), lambda i, j: abs(ordered[i] - ordered[j]) <= _CLUSTER_CAP
-    ):
-        if len(part) == 1:
-            accepted.append((_polish_cluster(ctx, ordered[part[0]], 1, 0.0, eps_root), 1))
-        else:
-            accepted.extend(_cluster_component([ordered[i] for i in sorted(part)], eps_root, ctx))
+    linked = set()
+    for i, z in enumerate(ordered):
+        for j in range(i + 1, len(ordered)):
+            if ordered[j].real - z.real > _CLUSTER_CAP:
+                break
+            if abs(ordered[j] - z) <= _CLUSTER_CAP:
+                linked.update((i, j))
+    near = [ordered[i] for i in sorted(linked)]
+    accepted = [(_polish_cluster(ctx, z, 1, 0.0, eps_root), 1) for z in ordered if z not in near]
+    for part in _components(len(near), lambda a, b: abs(near[a] - near[b]) <= _CLUSTER_CAP):
+        accepted.extend(_cluster_component([near[a] for a in sorted(part)], eps_root, ctx))
     return accepted
 
 
@@ -368,8 +372,8 @@ def roots_with_multiplicity(
     Returns pairs (root, multiplicity) of built-in ``complex`` and ``int``,
     sorted by (real, imag); the multiplicities sum to ``f.degree``. Zeros at
     the origin are counted from the trailing coefficients. The other raw
-    roots are the eigenvalues of the companion matrix (``np.roots``), which
-    are backward stable for the coefficients; ``_cluster`` then makes every
+    roots are the eigenvalues of the companion matrix that ``np.roots`` builds,
+    backward stable for the coefficients; ``_cluster`` then makes every
     multiplicity decision. Roots closer together than the accuracy
     attainable for their combined multiplicity are reported as one root at
     the polished cluster centroid.
@@ -393,18 +397,20 @@ def roots_with_multiplicity(
         clustered.append((0j, zeros_at_origin))
     if len(cs) > 1:
         ctx = _ClusterContext(f, eps_coeff=tol.eps_trim)
-        clustered.extend(_cluster(np.roots(cs[::-1]).tolist(), tol.eps_root, ctx))
+        companion = np.diag(np.ones(len(cs) - 2, dtype=complex), -1)
+        companion[0, :] = -np.array(cs[-2::-1]) / cs[-1]
+        clustered.extend(_cluster(np.linalg.eigvals(companion).tolist(), tol.eps_root, ctx))
     clustered.sort(key=lambda item: (item[0].real, item[0].imag))
     return tuple(clustered)
 
 
 def poly_from_roots(roots, lead: complex = 1.0) -> Poly:
-    """Expand ``lead * prod (lambda - r)`` over (root, multiplicity) pairs."""
-    acc = Poly([complex(lead)])
+    """Expand ``lead * prod (lambda - r)`` over (root, multiplicity) pairs, trimming once."""
+    acc = [complex(lead)]
     for z, m in roots:
         for _ in range(m):
-            acc = acc * Poly([-z, 1.0])
-    return acc
+            acc = [a - b * z for a, b in zip([0j] + acc, acc + [0j])]
+    return Poly(acc)
 
 
 def root_location_uncertainties(

@@ -15,7 +15,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import BadParameter, NotBalanced, NotNonnegative, OddCircleZero, ZeroPolynomial
+from .errors import (
+    BadParameter, GammaKitError, NotBalanced, NotNonnegative, OddCircleZero, ZeroPolynomial,
+)
 from .polynomials import (
     _EPS,
     Poly,
@@ -105,6 +107,7 @@ class TrigPoly:
     @classmethod
     def lincomb(cls, terms) -> "TrigPoly":
         """Real-weighted combination of trigonometric polynomials."""
+        terms = list(terms)  # read once: a zip or generator would be empty the second time
         n = max((f.n for _, f in terms), default=0)
         half = [0j] * (n + 1)
         for weight, f in terms:
@@ -217,53 +220,41 @@ def _refine_minimum(f: TrigPoly, grid_values) -> tuple[float, float]:
     return best_v, best_t % (2.0 * math.pi)
 
 
-def _grid_residual(values, fv):
-    return float(np.max(np.abs(np.abs(values) ** 2 - fv)))
-
-
 def _wilson_refine(coeffs, f: TrigPoly, degree: int):
     """Newton refinement of a spectral factor (Wilson's method).
 
     Solves |D|^2 = f on the circle: with u the analytic projection of
     f / |D_k|^2 - 1 (half weight on the constant), D_{k+1} = D_k (1 + u)
-    truncated to the factor degree, for four rounds. Quadratic convergence
-    cleans up the rounding accumulated while expanding the root product.
-    The samples of f come from its coefficients on a power-of-two angle
-    grid. Returns the coefficient array achieving the smaller sampled
-    residual.
+    truncated to the factor degree. Quadratic convergence cleans up the
+    expansion rounding of the root product, so at most four rounds run, up
+    to the first that does not lower the sampled residual. f is sampled from
+    its coefficients on a power-of-two angle grid. Returns the coefficients
+    with the smallest sampled residual.
     """
-    size = 1
-    while size < 16 * (2 * f.n + 2):
-        size *= 2
+    size = 1 << (16 * (2 * f.n + 2) - 1).bit_length()  # a power of two >= 16 (2n + 2)
     fv = _grid_values(f, size)
 
     # The FFT is the Newton step's projection onto the analytic part; it also
     # gives all grid values in O(N log N), where Horner would cost O(N d).
-    def values_of(cs):
-        padded = np.zeros(size, dtype=complex)
-        padded[: len(cs)] = cs
-        return np.fft.ifft(padded) * size
+    def sampled(cs):
+        values = np.fft.ifft(cs, size) * size
+        power = np.abs(values) ** 2
+        return values, power, float(np.max(np.abs(power - fv)))
 
     best = np.asarray(coeffs, dtype=complex)
-    best_values = values_of(best)
-    best_res = _grid_residual(best_values, fv)
-
-    current = best
-    current_values = best_values
-    floor = 1e-300 + 1e-18 * float(np.max(np.abs(current_values)) ** 2)
+    values, power, best_res = sampled(best)
+    floor = 1e-300 + 1e-18 * float(np.max(np.abs(values)) ** 2)
     for _ in range(4):
-        power = np.abs(current_values) ** 2
         ratio = np.where(power > floor, fv / np.maximum(power, floor) - 1.0, 0.0)
         spectrum = np.fft.fft(ratio) / size
         spectrum[0] *= 0.5
         spectrum[size // 2:] = 0.0
         correction = np.fft.ifft(spectrum) * size
-        current_values = current_values * (1.0 + correction)
-        current = (np.fft.fft(current_values) / size)[: degree + 1]
-        current_values = values_of(current)
-        res = _grid_residual(current_values, fv)
-        if res < best_res:
-            best, best_res = current, res
+        current = (np.fft.fft(values * (1.0 + correction)) / size)[: degree + 1]
+        values, power, res = sampled(current)
+        if not res < best_res:
+            break
+        best, best_res = current, res
     return best
 
 
@@ -358,8 +349,9 @@ def fejer_riesz(f: TrigPoly, tol: ToleranceConfig = DEFAULT_TOL) -> Poly:
     the expansion rounding.
 
     Raises ``NotNonnegative`` when the circle minimum is below -eps_residual
-    (relative), and ``OddCircleZero`` when a circle zero cluster has odd
-    order, which is inconsistent with a squared modulus. ``circle_extrema``
+    (relative), ``OddCircleZero`` when a circle zero cluster has odd order,
+    which is inconsistent with a squared modulus, and ``GammaKitError`` when
+    the selected roots do not number the factor degree. ``circle_extrema``
     estimates that minimum by a grid scan plus local refinement, not a
     certified bound (ROADMAP defect C).
     """
@@ -386,8 +378,10 @@ def fejer_riesz(f: TrigPoly, tol: ToleranceConfig = DEFAULT_TOL) -> Poly:
     on_circle, _, outside = partition_circle_roots(roots, analytic, tol)
 
     selected = outside + [(z, m // 2) for z, m in on_circle]
-    lead = g.coeff(top)
-    gain = abs(lead)
+    count = sum(m for _, m in selected)
+    if count != top:
+        raise GammaKitError(f"root pairing selected {count} roots for a factor of degree {top}")
+    gain = abs(g.coeff(top))
     for z, m in outside:
         gain /= abs(z) ** m
 

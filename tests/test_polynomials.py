@@ -2,6 +2,7 @@ import cmath
 import math
 import random
 
+import numpy as np
 import pytest
 
 from gammakit import (
@@ -20,7 +21,8 @@ from gammakit import (
     q_factor,
     roots_with_multiplicity,
 )
-from gammakit.polynomials import _ClusterContext
+import gammakit.polynomials
+from gammakit.polynomials import _CLUSTER_CAP, _ClusterContext, _components
 
 from helpers import circle_points, random_poly, same_multiset
 
@@ -140,6 +142,50 @@ def test_isolated_roots_skip_hypothesis_tests(monkeypatch):
     assert abs(found[4] - z0) < 1e-9
 
 
+def _pairwise_cluster(roots, eps_root, ctx):
+    """_cluster as it was before the sweep: the cap predicate on every pair."""
+    poly = gammakit.polynomials
+    ordered = sorted(roots, key=lambda w: (w.real, w.imag))
+    accepted = []
+    for part in _components(
+        len(ordered), lambda i, j: abs(ordered[i] - ordered[j]) <= _CLUSTER_CAP
+    ):
+        if len(part) == 1:
+            accepted.append((poly._polish_cluster(ctx, ordered[part[0]], 1, 0.0, eps_root), 1))
+        else:
+            members = [ordered[i] for i in sorted(part)]
+            accepted.extend(poly._cluster_component(members, eps_root, ctx))
+    return accepted
+
+
+def test_root_layer_matches_np_roots_and_pairwise_clustering(monkeypatch):
+    raw = []
+    cluster = gammakit.polynomials._cluster
+
+    def recorded(roots, eps_root, ctx):
+        raw.append(roots)
+        return cluster(roots, eps_root, ctx)
+
+    monkeypatch.setattr(gammakit.polynomials, "_cluster", recorded)
+    rng = random.Random(29)
+    for _ in range(60):
+        layout = [(complex(rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5)), 1) for _ in range(8)]
+        center = layout[0][0]
+        for _ in range(rng.randint(0, 3)):
+            layout.append((center + 1e-3 * rng.random(), rng.randint(1, 3)))
+        p = poly_from_roots(layout, complex(rng.gauss(0, 1), rng.gauss(0, 1)))
+        roots_with_multiplicity(p)
+        scale = p.max_coeff
+        assert raw[-1] == np.roots([c / scale for c in reversed(p.coeffs)]).tolist()
+        ctx = _ClusterContext(p, eps_coeff=DEFAULT_TOL.eps_trim)
+
+        def polished(walk):
+            found = walk(raw[-1], DEFAULT_TOL.eps_root, ctx)
+            return sorted(found, key=lambda item: (item[0].real, item[0].imag))
+
+        assert polished(cluster) == polished(_pairwise_cluster)
+
+
 def test_simple_root_polish_stops_at_convergence(monkeypatch):
     calls = []
     call = Poly.__call__
@@ -205,6 +251,29 @@ def test_roots_expansion_reproduces_input():
     rebuilt = poly_from_roots(roots, p.coeffs[-1])
     gap = max(abs(a - b) for a, b in zip(p.padded(8), rebuilt.padded(8)))
     assert gap < 1e-9 * (1 + p.max_coeff)
+
+
+def _per_factor_poly_from_roots(roots, lead=1.0):
+    """The expansion poly_from_roots made before it ran on a plain list."""
+    acc = Poly([complex(lead)])
+    for z, m in roots:
+        for _ in range(m):
+            acc = acc * Poly([-z, 1.0])
+    return acc
+
+
+def test_poly_from_roots_matches_per_factor_product():
+    rng = random.Random(23)
+    for _ in range(200):
+        roots = []
+        budget = rng.randint(1, 32)
+        while budget:
+            m = rng.randint(1, min(3, budget))
+            budget -= m
+            z = cmath.rect(2.0 * math.sqrt(rng.random()), rng.uniform(0, 2 * math.pi))
+            roots.append((z, m))
+        lead = complex(rng.gauss(0, 1), rng.gauss(0, 1))
+        assert poly_from_roots(roots, lead) == _per_factor_poly_from_roots(roots, lead)
 
 
 def test_q_factor():

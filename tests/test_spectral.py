@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -6,6 +7,7 @@ import pytest
 
 from gammakit import (
     BadParameter,
+    GammaKitError,
     NotBalanced,
     NotNonnegative,
     Poly,
@@ -19,8 +21,9 @@ from gammakit import (
     to_trig_shifted,
 )
 from gammakit.inner import circle_gap
+from gammakit.synthesis import build_re
 
-from helpers import random_poly
+from helpers import random_poly, random_spec
 
 
 def test_modulus_squared_examples():
@@ -219,6 +222,35 @@ def test_fejer_riesz_double_circle_zero():
     assert _factor_residual(d, f) < 1e-9 * (1 + max(abs(c) for c in f.coeffs))
 
 
+def test_fejer_riesz_cleanup_stops_at_convergence(monkeypatch):
+    f = to_trig_modulus_squared(random_poly(random.Random(1), 7))
+    calls = []
+    fft = np.fft.fft
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fft(*args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "fft", counted)
+    d = fejer_riesz(f)
+    monkeypatch.undo()
+    # Two FFTs per Wilson round; four fixed rounds made 8.
+    assert len(calls) <= 4
+    assert _factor_residual(d, f) <= 1e-12 * (1 + f.max_coeff)
+
+
+def test_fejer_riesz_rejects_wrong_root_count():
+    # A symbol of depth 3e-11 whose root pairing selects one root too many.
+    rng = random.Random(17)
+    for _ in range(6):
+        spec = random_spec(rng, n_max=10)
+    r, e = build_re(dataclasses.replace(spec, t_plus=spec.t * spec.t / 1e4))
+    f = to_trig_shifted(r + e * e, spec.n)
+    with pytest.raises(GammaKitError, match="selected 10 roots .* degree 9") as caught:
+        fejer_riesz(f)
+    assert caught.type is GammaKitError
+
+
 def test_fejer_riesz_deterministic():
     rng = random.Random(1)
     e = random_poly(rng, 7)
@@ -256,3 +288,11 @@ def test_trig_poly_rejects_non_finite(coeffs, n):
 def test_trig_poly_accepts_large_finite_coefficients():
     f = TrigPoly.from_half_spectrum([1e308, 1e308])  # the modulus sum overflows
     assert f.coeffs == (1e308, 1e308, 1e308)
+
+
+def test_lincomb_reads_one_shot_iterables():
+    rng = random.Random(3)
+    fs = [to_trig_modulus_squared(random_poly(rng, k)) for k in (2, 5, 3)]
+    weights = [0.5, -1.25, 2.0]
+    assert TrigPoly.lincomb(zip(weights, fs)) == TrigPoly.lincomb(list(zip(weights, fs)))
+    assert TrigPoly.lincomb(zip(weights, fs)).max_coeff > 0.0
