@@ -18,6 +18,7 @@ import numpy as np
 from .errors import BadParameter, ConditionFailed, NotInner, PoleOnDomain
 from .polynomials import (
     Poly,
+    _schur_cohn_outer,
     conj_reciprocal,
     is_n_symmetric,
     roots_with_multiplicity,
@@ -55,9 +56,14 @@ class GammaInner:
         return conj_reciprocal(self.D, self.n)
 
     @cached_property
+    def d_power(self) -> TrigPoly:
+        """|D|^2 on the circle; ``_with_numerator`` hands it to maps sharing D."""
+        return to_trig_modulus_squared(self.D)
+
+    @cached_property
     def gap(self) -> TrigPoly:
         """The circle gap 4 |D|^2 - |E|^2 (``circle_gap``) of this map."""
-        return circle_gap(self.E, self.D)
+        return TrigPoly.lincomb([(4.0, self.d_power), (-1.0, to_trig_modulus_squared(self.E))])
 
     @cached_property
     def royal(self) -> Poly:
@@ -88,10 +94,10 @@ def validate(
     """Check conditions (i)-(iv) and wrap the pair as a GammaInner.
 
     (i) deg E <= n and deg D <= n; (ii) E is n-symmetric; (iii) D has no
-    zeros on the closed disc (or, with ``strict=False``, none on the open
-    disc); (iv) 4|D|^2 - |E|^2 >= 0 on the circle, from the exact
-    autocorrelation coefficients; ``circle_extrema`` estimates the minimum by
-    a grid scan plus local refinement, not a certified bound (ROADMAP defect C).
+    zeros on the closed disc, by the Schur-Cohn test, with roots solved only
+    to name a zero (``strict=False``: none on the open disc, from D's roots);
+    (iv) 4|D|^2 - |E|^2 >= 0 on the circle, from the exact autocorrelations;
+    ``circle_extrema`` estimates the minimum, not a certified bound (defect C).
 
     Raises :class:`ConditionFailed` carrying every failed condition label.
     """
@@ -116,7 +122,7 @@ def validate(
                 break
             if r <= 1.0 + tol.eps_circle:
                 circle_zeros += m
-    return _checked(e, d, n, tol, strict, d_failure, circle_zeros)
+    return _checked(e, d, n, tol, strict, d_failure, circle_zeros, to_trig_modulus_squared(d))
 
 
 def _with_numerator(
@@ -124,17 +130,17 @@ def _with_numerator(
 ) -> GammaInner:
     """``validate(e, h.D, h.n, tol, strict=h.strict)`` without solving D again.
 
-    Conditions (i), (ii) and (iv) involve E and run on e. Condition (iii)
-    and the circle-zero count depend only on D, tol and strict, which h
-    shares, so they are taken from h. A ``tol`` other than ``h.tol`` runs
-    the full :func:`validate`.
+    Conditions (i), (ii) and (iv) involve E and run on e; (iv) reuses h's
+    |D|^2. Condition (iii) and the circle-zero count depend only on D, tol
+    and strict, which h shares, so they are taken from h. A ``tol`` other
+    than ``h.tol`` runs the full :func:`validate`.
     """
     if tol is not None and tol != h.tol:
         return validate(e, h.D, h.n, tol, strict=h.strict)
-    return _checked(e, h.D, h.n, h.tol, h.strict, None, h.d_circle_zeros)
+    return _checked(e, h.D, h.n, h.tol, h.strict, None, h.d_circle_zeros, h.d_power)
 
 
-def _checked(e, d, n, tol, strict, d_failure, circle_zeros) -> GammaInner:
+def _checked(e, d, n, tol, strict, d_failure, circle_zeros, d_power) -> GammaInner:
     """Conditions (i), (ii) and (iv) around D's (iii) failure message, if any."""
     details = {}
     if e.degree > n or d.degree > n:
@@ -147,6 +153,7 @@ def _checked(e, d, n, tol, strict, d_failure, circle_zeros) -> GammaInner:
         details["iii"] = d_failure
 
     h = GammaInner(E=e, D=d, n=n, tol=tol, strict=strict, d_circle_zeros=circle_zeros)
+    h.__dict__["d_power"] = d_power  # seeds the cached property: maps sharing D share |D|^2
     min_val, arg_min = circle_extrema(h.gap, tol.circle_samples)
     slack = tol.eps_residual * (1.0 + h.gap.max_coeff)
     if min_val < -slack:
@@ -160,12 +167,14 @@ def _checked(e, d, n, tol, strict, d_failure, circle_zeros) -> GammaInner:
 
 
 def _closed_disc_zero(p: Poly, tol: ToleranceConfig) -> complex | None:
-    """The first computed zero of p with modulus below 1 + eps_circle, if any."""
-    if p.degree > 0:
-        for z, _ in roots_with_multiplicity(p, tol):
-            if abs(z) < 1.0 + tol.eps_circle:
-                return z
-    return None
+    """The first computed zero of p with modulus below rho = 1 + eps_circle, if any.
+
+    Roots are solved for only when the Schur-Cohn test on p(rho lambda) fails.
+    """
+    rho = 1.0 + tol.eps_circle
+    if _schur_cohn_outer([c * rho**k for k, c in enumerate(p.coeffs)]):
+        return None  # also for constants, zero included
+    return next((z for z, _ in roots_with_multiplicity(p, tol) if abs(z) < rho), None)
 
 
 def eval_h(h: GammaInner, lam: complex) -> tuple[complex, complex]:

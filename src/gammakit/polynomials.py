@@ -413,6 +413,21 @@ def poly_from_roots(roots, lead: complex = 1.0) -> Poly:
     return Poly(acc)
 
 
+def _schur_cohn_outer(cs) -> bool:
+    """Whether the polynomial with coefficients cs has no zero in the closed unit disc.
+
+    Schur-Cohn (Henrici 1974, 6.8), O(m^2): exactly when |p_0| > |p_m| at the top
+    degree m and likewise for p - c p*, c = p_m / conj(p_0), down to a constant.
+    """
+    p = [complex(c) for c in cs]
+    while len(p) > 1:
+        if not abs(p[0]) > abs(p[-1]):
+            return False
+        c = p[-1] / p[0].conjugate()
+        p = [x - c * y.conjugate() for x, y in zip(p[:-1], reversed(p[1:]))]
+    return True
+
+
 def root_location_uncertainties(
     f: Poly, roots, eps_coeff: float = 0.0
 ) -> tuple[float, ...]:

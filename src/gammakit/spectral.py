@@ -2,8 +2,9 @@
 
 A trigonometric polynomial here is a Laurent polynomial with Hermitian
 coefficient symmetry, hence real-valued on the unit circle. Nonnegative ones
-factor as |D|^2 for an outer analytic polynomial D; the factorization is
-computed from the root pairing of the associated ordinary polynomial.
+factor as |D|^2 for an outer analytic polynomial D: strictly positive ones by
+Newton on D's coefficients from a cepstral start, checked by the Schur-Cohn
+recursion, the rest by pairing the roots of the associated polynomial.
 """
 
 from __future__ import annotations
@@ -21,12 +22,15 @@ from .errors import (
 from .polynomials import (
     _EPS,
     Poly,
+    _schur_cohn_outer,
     is_n_symmetric,
     poly_from_roots,
     root_location_uncertainties,
     roots_with_multiplicity,
 )
 from .tolerances import DEFAULT_TOL, ToleranceConfig
+
+_ROOT_FREE_DEPTH = 1e-7  # relative circle minimum above which fejer_riesz solves no roots
 
 
 @dataclass(frozen=True)
@@ -220,42 +224,50 @@ def _refine_minimum(f: TrigPoly, grid_values) -> tuple[float, float]:
     return best_v, best_t % (2.0 * math.pi)
 
 
-def _wilson_refine(coeffs, f: TrigPoly, degree: int):
-    """Newton refinement of a spectral factor (Wilson's method).
+def _cepstral_factor(f: TrigPoly, degree: int, size: int) -> np.ndarray:
+    """Newton's start d_0 .. d_degree: exp of the analytic half of log f on ``size`` angles.
 
-    Solves |D|^2 = f on the circle: with u the analytic projection of
-    f / |D_k|^2 - 1 (half weight on the constant), D_{k+1} = D_k (1 + u)
-    truncated to the factor degree. Quadratic convergence cleans up the
-    expansion rounding of the root product, so at most four rounds run, up
-    to the first that does not lower the sampled residual. f is sampled from
-    its coefficients on a power-of-two angle grid. Returns the coefficients
-    with the smallest sampled residual.
+    D(0) > 0, but the series aliases: on too small a grid D need not even be outer.
     """
-    size = 1 << (16 * (2 * f.n + 2) - 1).bit_length()  # a power of two >= 16 (2n + 2)
-    fv = _grid_values(f, size)
+    values = np.maximum(_grid_values(f, size), 1e-300)  # f may dip below its estimated minimum
+    cepstrum = np.fft.fft(np.log(values)) / size
+    cepstrum[0] *= 0.5
+    cepstrum[size // 2 :] = 0.0
+    outer = np.exp(np.fft.ifft(cepstrum) * size)
+    return np.fft.fft(outer)[: degree + 1] / size
 
-    # The FFT is the Newton step's projection onto the analytic part; it also
-    # gives all grid values in O(N log N), where Horner would cost O(N d).
-    def sampled(cs):
-        values = np.fft.ifft(cs, size) * size
-        power = np.abs(values) ** 2
-        return values, power, float(np.max(np.abs(power - fv)))
 
-    best = np.asarray(coeffs, dtype=complex)
-    values, power, best_res = sampled(best)
-    floor = 1e-300 + 1e-18 * float(np.max(np.abs(values)) ** 2)
-    for _ in range(4):
-        ratio = np.where(power > floor, fv / np.maximum(power, floor) - 1.0, 0.0)
-        spectrum = np.fft.fft(ratio) / size
-        spectrum[0] *= 0.5
-        spectrum[size // 2:] = 0.0
-        correction = np.fft.ifft(spectrum) * size
-        current = (np.fft.fft(values * (1.0 + correction)) / size)[: degree + 1]
-        values, power, res = sampled(current)
+def _newton_factor(d, half) -> tuple[np.ndarray, float]:
+    """Newton on |D|^2 = f in coefficient form (Wilson 1969) from the complex array d.
+
+    A step solves conj(D) delta + D conj(delta) = f - |D|^2 on the half
+    spectrum a_0 .. a_n for 2n + 2 real unknowns, with Im delta_0 = 0 fixing
+    the phase. At most ten steps, up to the first that does not lower the
+    residual max_k |a_k - (|D|^2)_k|. Returns the best coefficients and residual.
+    """
+    n = len(d) - 1
+    rows, cols = np.indices((n + 1, n + 1))
+    upper, mirror = cols >= rows, cols + rows <= n
+    lag, total = np.where(upper, cols - rows, 0), np.where(mirror, cols + rows, 0)
+    best, best_res = d, math.inf
+    for _ in range(11):
+        lagged = np.where(upper, d.conj()[lag], 0.0)  # lagged @ d: the half spectrum of |D|^2
+        gap = half - lagged @ d
+        res = float(np.max(np.abs(gap)))
         if not res < best_res:
             break
-        best, best_res = current, res
-    return best
+        best, best_res = d, res
+        mirrored = np.where(mirror, d[total], 0.0)
+        step_map = np.concatenate([lagged + mirrored, 1j * (lagged - mirrored)], axis=1)
+        jac = np.concatenate([step_map.real, step_map.imag])  # of (Re delta, Im delta)
+        rhs = np.concatenate([gap.real, gap.imag])
+        jac[n + 1, n + 1], rhs[n + 1] = 1.0, 0.0  # row n + 1 (Im a_0) is identically zero
+        try:
+            delta = np.linalg.solve(jac, rhs)
+        except np.linalg.LinAlgError:
+            break
+        d = d + delta[: n + 1] + 1j * delta[n + 1 :]
+    return best, best_res
 
 
 @dataclass
@@ -341,19 +353,19 @@ def fejer_riesz(f: TrigPoly, tol: ToleranceConfig = DEFAULT_TOL) -> Poly:
     """Outer spectral factor D of a nonnegative trigonometric polynomial.
 
     Returns D with no roots inside the unit disc, |D|^2 = f on the circle and
-    the canonical normalization D(0) real and strictly positive. The factor
-    is built by pairing the roots of lambda^n f(lambda): each pair (zeta,
-    1/conj(zeta)) contributes its outside member, and circle zero clusters
-    (necessarily of even order) contribute half their multiplicity. A Newton
-    cleanup pass (``_wilson_refine``, on f's own coefficients) then removes
-    the expansion rounding.
+    D(0) > 0. If f's relative circle minimum exceeds ``_ROOT_FREE_DEPTH``, D
+    is ``_newton_factor`` from the cepstral start on a power-of-two grid of at
+    least 16 (2n + 2) angles, if its residual is at most 64 eps (n + 1) and
+    Schur-Cohn finds no zero in the closed disc; the grid doubles up to three
+    times. Otherwise D takes the outside root of each pair (zeta,
+    1/conj(zeta)) of lambda^n f and half of each circle zero cluster, and the
+    same Newton removes the expansion rounding unless D has circle zeros.
 
-    Raises ``NotNonnegative`` when the circle minimum is below -eps_residual
-    (relative), ``OddCircleZero`` when a circle zero cluster has odd order,
-    which is inconsistent with a squared modulus, and ``GammaKitError`` when
-    the selected roots do not number the factor degree. ``circle_extrema``
-    estimates that minimum by a grid scan plus local refinement, not a
-    certified bound (ROADMAP defect C).
+    Raises ``NotNonnegative`` when the circle minimum (an estimate, not a
+    certified bound: ROADMAP defect C) is below -eps_residual (relative),
+    ``OddCircleZero`` for a circle zero cluster of odd order, impossible for
+    a squared modulus, and ``GammaKitError`` naming the symbol depth when the
+    selected roots do not number the factor degree.
     """
     scale = f.max_coeff
     if scale == 0.0:
@@ -369,30 +381,31 @@ def fejer_riesz(f: TrigPoly, tol: ToleranceConfig = DEFAULT_TOL) -> Poly:
     if min_val < -tol.eps_residual:
         raise NotNonnegative(f"scaled circle minimum {min_val:.3e} is negative")
 
-    if top == 0:
-        level = max(g.coeff(0).real, 0.0) * scale
-        return Poly([math.sqrt(level)])
+    target = np.array(g.coeffs[top:])
+    size = 1 << (16 * (2 * top + 2) - 1).bit_length()  # a power of two >= 16 (2n + 2)
+    for _ in range(4 if min_val > _ROOT_FREE_DEPTH else 0):
+        d, res = _newton_factor(_cepstral_factor(g, top, size), target)
+        if res <= 64.0 * _EPS * (top + 1) and _schur_cohn_outer(d):
+            break
+        size *= 2
+    else:  # no root-free factor accepted, or none tried
+        analytic = Poly([g.coeff(k - top) for k in range(2 * top + 1)])
+        roots = roots_with_multiplicity(analytic, tol)
+        on_circle, _, outside = partition_circle_roots(roots, analytic, tol)
+        selected = outside + [(z, m // 2) for z, m in on_circle]
+        count = sum(m for _, m in selected)
+        if count != top:
+            raise GammaKitError(
+                f"root pairing selected {count} roots for a factor of degree {top}"
+                f" (symbol depth {min_val:.1e})"
+            )
+        gain = abs(g.coeff(top))
+        for z, m in outside:
+            gain /= abs(z) ** m
+        d = np.array(poly_from_roots(selected, math.sqrt(gain)).padded(top + 1))
+        if not on_circle:
+            d = _newton_factor(d, target)[0]
 
-    analytic = Poly([g.coeff(k - top) for k in range(2 * top + 1)])
-    roots = roots_with_multiplicity(analytic, tol)
-    on_circle, _, outside = partition_circle_roots(roots, analytic, tol)
-
-    selected = outside + [(z, m // 2) for z, m in on_circle]
-    count = sum(m for _, m in selected)
-    if count != top:
-        raise GammaKitError(f"root pairing selected {count} roots for a factor of degree {top}")
-    gain = abs(g.coeff(top))
-    for z, m in outside:
-        gain /= abs(z) ** m
-
-    factor = poly_from_roots(selected, math.sqrt(gain))
-
-    if not on_circle:
-        # Newton cleanup of the expansion rounding; skipped when the factor
-        # carries exact circle zeros, which refinement would split.
-        factor = Poly(_wilson_refine(factor.padded(top + 1), g, top))
-
-    factor = math.sqrt(scale) * factor
+    factor = math.sqrt(scale) * Poly(d)
     at_zero = factor(0j)
-    phase = at_zero / abs(at_zero)
-    return factor * phase.conjugate()
+    return factor * (at_zero / abs(at_zero)).conjugate()

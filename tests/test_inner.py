@@ -5,6 +5,7 @@ import random
 import pytest
 
 from gammakit import (
+    DEFAULT_TOL,
     BadParameter,
     ConditionFailed,
     GammaRegion,
@@ -15,11 +16,15 @@ from gammakit import (
     from_inner_pair,
     geodesic,
     h_nu,
+    poly_from_roots,
+    roots_with_multiplicity,
     superficial,
     validate,
 )
 
-from helpers import circle_points, random_unimodular
+import gammakit.polynomials
+from gammakit.inner import _closed_disc_zero
+from helpers import circle_points, count_calls, random_unimodular
 
 
 def test_validate_h_nu_family_representation():
@@ -39,6 +44,39 @@ def test_validate_rejects_disc_zero_denominator():
     with pytest.raises(ConditionFailed) as err:
         validate(Poly([0, 1]), Poly([-0.5, 1]), 1)
     assert "iii" in err.value.failed
+    assert err.value.details["iii"] == "D has a zero of modulus 0.5 on the closed disc"
+
+
+def test_validate_strict_map_solves_no_roots(monkeypatch):
+    h = h_nu(2, 0.9)
+    solves = count_calls(
+        monkeypatch, "roots_with_multiplicity", gammakit.polynomials.roots_with_multiplicity
+    )
+    assert validate(h.E, h.D, h.n) == h
+    assert not solves
+
+
+def test_closed_disc_zero_agrees_with_root_rule():
+    # One root planted near the circle and near the rule's edge 1 + eps_circle,
+    # the others well outside; the Schur-Cohn verdict must match the roots'.
+    rng = random.Random(7)
+    edge = 1.0 + DEFAULT_TOL.eps_circle
+    cases = 0
+    for degree in range(1, 33):
+        others = [(cmath.rect(rng.uniform(1.05, 3.0), rng.uniform(0, 2 * math.pi)), 1)
+                  for _ in range(degree - 1)]
+        angle = rng.uniform(0, 2 * math.pi)
+        lead = random_unimodular(rng)
+        for centre in (1.0, edge):
+            for j in range(1, 16):
+                for modulus in (centre - 10.0**-j, centre + 10.0**-j):
+                    if abs(modulus - edge) <= 1e-10:
+                        continue
+                    p = poly_from_roots([(cmath.rect(modulus, angle), 1)] + others, lead)
+                    inside = any(abs(z) < edge for z, _ in roots_with_multiplicity(p))
+                    assert (_closed_disc_zero(p, DEFAULT_TOL) is not None) == inside
+                    cases += 1
+    assert cases > 1500
 
 
 def test_validate_rejects_degree_overflow_and_asymmetry():

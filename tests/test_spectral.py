@@ -1,3 +1,4 @@
+import cmath
 import dataclasses
 import math
 import random
@@ -16,14 +17,16 @@ from gammakit import (
     circle_extrema,
     fejer_riesz,
     h_nu,
+    poly_from_roots,
     roots_with_multiplicity,
     to_trig_modulus_squared,
     to_trig_shifted,
 )
+import gammakit.polynomials
 from gammakit.inner import circle_gap
 from gammakit.synthesis import build_re
 
-from helpers import random_poly, random_spec
+from helpers import count_calls, random_poly, random_spec
 
 
 def test_modulus_squared_examples():
@@ -211,32 +214,68 @@ def test_fejer_riesz_round_trip_property():
             assert all(abs(z) >= 1 - 1e-10 for z, _ in roots_with_multiplicity(d))
 
 
-def test_fejer_riesz_double_circle_zero():
+def test_fejer_riesz_double_circle_zero(monkeypatch):
     # |(lambda - 1)|^2 style input: zero of order 2 at 1 on the circle
     e = Poly([-1, 1]) * Poly([0.5, 1])
     f = to_trig_modulus_squared(e)
+    solves = count_calls(
+        monkeypatch, "roots_with_multiplicity", gammakit.polynomials.roots_with_multiplicity
+    )
     d = fejer_riesz(f)
+    monkeypatch.undo()
+    assert len(solves) == 1  # the root pairing; the symbol has no positive depth
     assert d.degree == 2
     roots = dict((round(abs(z), 6), m) for z, m in roots_with_multiplicity(d))
     assert roots.get(1.0) == 1
     assert _factor_residual(d, f) < 1e-9 * (1 + max(abs(c) for c in f.coeffs))
 
 
-def test_fejer_riesz_cleanup_stops_at_convergence(monkeypatch):
+def test_fejer_riesz_strictly_positive_symbol_solves_no_roots(monkeypatch):
     f = to_trig_modulus_squared(random_poly(random.Random(1), 7))
-    calls = []
-    fft = np.fft.fft
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return fft(*args, **kwargs)
-
-    monkeypatch.setattr(np.fft, "fft", counted)
+    assert circle_extrema(f, 1024)[0] > 1e-4 * f.max_coeff  # far above the root-free depth
+    solves = count_calls(
+        monkeypatch, "roots_with_multiplicity", gammakit.polynomials.roots_with_multiplicity
+    )
     d = fejer_riesz(f)
     monkeypatch.undo()
-    # Two FFTs per Wilson round; four fixed rounds made 8.
-    assert len(calls) <= 4
+    assert not solves
     assert _factor_residual(d, f) <= 1e-12 * (1 + f.max_coeff)
+
+
+def test_fejer_riesz_circle_zero_above_the_estimated_depth():
+    # The double zero at tau lies between circle_extrema's grid points, below a
+    # shallower minimum near -1.001, so the depth reads 4.5e-6 (defect C). The
+    # doubled cepstral grids land on tau, where f rounds to -1e-16.
+    tau = cmath.exp(2j * math.pi / 2048)
+    f = to_trig_modulus_squared(poly_from_roots([(tau, 1), (-1.001, 1), (1.5j, 1), (-2j, 1)]))
+    assert circle_extrema(f, 1024)[0] > 1e-6 * f.max_coeff
+    d = fejer_riesz(f)
+    assert _factor_residual(d, f) <= 1e-9 * (1 + f.max_coeff)
+    assert min(abs(z) for z, _ in roots_with_multiplicity(d)) >= 1.0 - 1e-10
+
+
+def _gaussian_symbols(seed: int, degree: int, count: int):
+    rng = random.Random(seed)
+    for _ in range(count):
+        e = Poly([complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(degree + 1)])
+        yield to_trig_modulus_squared(e)
+
+
+@pytest.mark.parametrize("degree, seed", [(48, 4848), (64, 4864)])
+def test_fejer_riesz_high_degree_gaussian_symbols(degree, seed):
+    # Root pairing plus the old FFT cleanup failed 2 of the 30 at degree 48 and
+    # 27 of the 30 at degree 64 (relative residuals up to 0.2).
+    for f in _gaussian_symbols(seed, degree, 30):
+        d = fejer_riesz(f)
+        count = max(256, 4 * f.n)
+        lam = np.exp(2j * np.pi * np.arange(count) / count)
+        a = np.asarray(f.coeffs)
+        f_vals = (np.polyval(a[::-1], lam) * lam ** (-f.n)).real
+        d_vals = np.polyval(np.asarray(d.coeffs)[::-1], lam)
+        residual = np.max(np.abs(np.abs(d_vals) ** 2 - f_vals)) / np.max(np.abs(a))
+        assert residual <= 1e-9
+        assert np.min(np.abs(np.roots(np.asarray(d.coeffs)[::-1]))) >= 1.0 - 1e-10
+        assert d.coeffs[0].real > 0.0 and abs(d.coeffs[0].imag) <= 1e-12 * d.coeffs[0].real
 
 
 def test_fejer_riesz_rejects_wrong_root_count():
@@ -249,6 +288,7 @@ def test_fejer_riesz_rejects_wrong_root_count():
     with pytest.raises(GammaKitError, match="selected 10 roots .* degree 9") as caught:
         fejer_riesz(f)
     assert caught.type is GammaKitError
+    assert str(caught.value).endswith("(symbol depth 1.2e-10)")  # circle minimum / max coefficient
 
 
 def test_fejer_riesz_deterministic():

@@ -290,14 +290,18 @@ def test_witness_checks_shared_denominator_once(monkeypatch):
     h = synthesize(spec)
     royal_profile(h)  # memoized on h, as recover_spec leaves it
     extrema = count_calls(monkeypatch, "circle_extrema", gammakit.spectral.circle_extrema)
-    gaps = count_calls(monkeypatch, "circle_gap", gammakit.inner.circle_gap)
+    powers = count_calls(
+        monkeypatch, "to_trig_modulus_squared", gammakit.spectral.to_trig_modulus_squared
+    )
     roots = count_calls(
         monkeypatch, "roots_with_multiplicity", gammakit.polynomials.roots_with_multiplicity
     )
     _, h_plus, h_minus = witness_non_extreme(h)
-    # Trials run on the pencil of h's cached gap; only the (iv) checks of h+- remain.
+    # Trials run on the pencil of h's cached gap; only the (iv) checks of h+- remain,
+    # and those reuse h's |D|^2.
     assert len(extrema) == 2
-    assert len(gaps) == 2
+    assert len(powers) == 3  # g, E + t g and E - t g
+    assert all(args[0] != h.D for args in powers)
     assert not roots
     monkeypatch.undo()
     for found in (h_plus, h_minus):
