@@ -9,8 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, fields
-from operator import attrgetter
+from typing import NamedTuple
 
 import numpy as np
 
@@ -196,9 +195,8 @@ def parse_trig(text: str) -> TrigPoly:
 # -- boundary traces -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TraceRow:
-    """One sample of the boundary curve t -> h(e^{it}) in chart coordinates."""
+class TraceRow(NamedTuple):
+    """One sample of t -> h(e^{it}) in chart coordinates: a named tuple in header order."""
 
     t: float
     s_re: float
@@ -211,7 +209,7 @@ class TraceRow:
     b_residual: float
 
 
-TRACE_HEADER = ",".join(f.name for f in fields(TraceRow))
+TRACE_HEADER = ",".join(TraceRow._fields)
 
 
 def trace_boundary(h: GammaInner, samples: int) -> list[TraceRow]:
@@ -223,8 +221,8 @@ def trace_boundary(h: GammaInner, samples: int) -> list[TraceRow]:
     with the band edge and b_residual = |s - conj(s) p| distinguished-boundary
     fidelity.
     """
-    if samples < 16:
-        raise ValueError("at least 16 samples are required")
+    if samples % 1 or samples < 16:  # a fractional count leaves the loop open
+        raise ValueError("samples must be an integer of at least 16")
     ts = 2.0 * math.pi * np.arange(samples) / samples
     s, p = _h_values(h, np.exp(1j * ts))
     x, theta = _chart_curve(s, p, h.tol)
@@ -232,10 +230,10 @@ def trace_boundary(h: GammaInner, samples: int) -> list[TraceRow]:
     # |s - conj(s) p| in real arithmetic rounds as Python's complex arithmetic does.
     twist = np.hypot(a - (a * c + b * d), b - (a * d - b * c))
     columns = (ts, a, b, c, d, x, theta, 2.0 - np.hypot(a, b), twist)
-    return [TraceRow(*row) for row in zip(*(col.tolist() for col in columns))]
+    return list(map(TraceRow._make, zip(*(col.tolist() for col in columns))))
 
 
 def trace_to_csv(rows) -> str:
+    """TRACE_HEADER, then each row as the repr of every field; each line ends in a newline."""
     line = TRACE_HEADER.count(",") * "%r," + "%r\n"  # %r renders a float as repr does
-    fields = attrgetter(*TRACE_HEADER.split(","))
-    return TRACE_HEADER + "\n" + "".join([line % fields(row) for row in rows])
+    return TRACE_HEADER + "\n" + "".join([line % row for row in rows])

@@ -1,10 +1,14 @@
 import cmath
+import dataclasses
 import itertools
 import json
 import math
 import re
+import struct
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from gammakit import (
     NotOnTorusFiber,
@@ -30,6 +34,8 @@ from gammakit import (
     trace_to_csv,
 )
 from gammakit.cli import cli_dispatch
+from gammakit.geometry import _chart_curve
+from gammakit.inner import _h_values
 from gammakit.io import TRACE_HEADER, TraceRow
 
 
@@ -169,6 +175,48 @@ def test_trace_matches_pointwise_eval():
             assert max(abs(a - b) for a, b in zip(found, expected)) <= 1e-12
 
 
+@dataclasses.dataclass(frozen=True)
+class _DataclassRow:
+    t: float
+    s_re: float
+    s_im: float
+    p_re: float
+    p_im: float
+    x: float
+    theta: float
+    edge_gap: float
+    b_residual: float
+
+
+def _dataclass_trace(h, samples):
+    """trace_boundary as it stood when rows were frozen dataclasses."""
+    ts = 2.0 * math.pi * np.arange(samples) / samples
+    s, p = _h_values(h, np.exp(1j * ts))
+    x, theta = _chart_curve(s, p, h.tol)
+    a, b, c, d = s.real, s.imag, p.real, p.imag
+    twist = np.hypot(a - (a * c + b * d), b - (a * d - b * c))
+    columns = (ts, a, b, c, d, x, theta, 2.0 - np.hypot(a, b), twist)
+    return [_DataclassRow(*row) for row in zip(*(col.tolist() for col in columns))]
+
+
+def test_trace_row_contract():
+    assert list(TraceRow._fields) == TRACE_HEADER.split(",")
+    assert [f.name for f in dataclasses.fields(_DataclassRow)] == list(TraceRow._fields)
+    row = TraceRow(t=0.5, s_re=1.0, s_im=-0.0, p_re=1.0, p_im=0.0, x=0.25, theta=3.0,
+                   edge_gap=1.0, b_residual=0.0)
+    assert row == TraceRow(0.5, 1.0, -0.0, 1.0, 0.0, 0.25, 3.0, 1.0, 0.0)
+    assert (row.t, row.theta, row.b_residual) == (0.5, 3.0, 0.0)
+    with pytest.raises(AttributeError):
+        row.theta = 1.0
+    for h, samples in itertools.product(_trace_maps(), (16, 1024)):
+        rows = trace_boundary(h, samples)
+        assert all(type(r) is TraceRow for r in rows)
+        # repr compares bit for bit, the sign of zero included.
+        assert [repr(tuple(r)) for r in rows] == [
+            repr(dataclasses.astuple(r)) for r in _dataclass_trace(h, samples)
+        ]
+
+
 def _reference_csv(rows) -> str:
     columns = TRACE_HEADER.split(",")
     lines = [TRACE_HEADER] + [",".join(repr(getattr(row, c)) for c in columns) for row in rows]
@@ -185,6 +233,21 @@ def test_trace_csv_is_repr_of_every_field():
     assert text == _reference_csv(signed)
     assert text.split("\n")[1] == "-0.0,0.0,-0.0,1.0,-0.0,-0.0,0.0,2.0,-0.0"
     assert trace_to_csv([]) == TRACE_HEADER + "\n"
+
+
+@settings(derandomize=True, max_examples=200, database=None, deadline=None)
+@given(st.lists(st.tuples(*[st.floats()] * 9).map(TraceRow._make), max_size=4))
+@example([TraceRow(-0.0, 0.0, 5e-324, -2.2e-308, math.inf, -math.inf, math.nan, 1e308, -1.0)])
+def test_trace_csv_round_trips_any_float(rows):
+    text = trace_to_csv(rows)
+    assert text == _reference_csv(rows)
+    for row, line in zip(rows, text.split("\n")[1:-1]):
+        for value, field in zip(row, line.split(",")):
+            back = float(field)
+            if math.isnan(value):
+                assert math.isnan(back)
+            else:
+                assert struct.pack("<d", back) == struct.pack("<d", value)
 
 
 def test_trace_off_fiber_reports_deviation():
@@ -208,8 +271,11 @@ def test_trace_csv_format():
 
 
 def test_trace_requires_enough_samples():
-    with pytest.raises(ValueError):
-        trace_boundary(h_nu(0, 0.5), 8)
+    # 16.5 samples would leave the loop open at t = 6.09, so theta could not unwind.
+    for samples in (8, 16.5, np.float64(16.5)):
+        with pytest.raises(ValueError):
+            trace_boundary(h_nu(0, 0.5), samples)
+    assert len(trace_boundary(h_nu(0, 0.5), np.int64(16))) == 16
 
 
 # -- command line -------------------------------------------------------------
