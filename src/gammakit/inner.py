@@ -62,7 +62,10 @@ class GammaInner:
 
     @cached_property
     def gap(self) -> TrigPoly:
-        """The circle gap 4 |D|^2 - |E|^2 (``circle_gap``) of this map."""
+        """The circle gap 4 |D|^2 - |E|^2 (``circle_gap``) of this map.
+
+        lambda^n times it is R = 4 D D~ - E^2 (n-symmetric E), exactly self-inversive.
+        """
         return TrigPoly.lincomb([(4.0, self.d_power), (-1.0, to_trig_modulus_squared(self.E))])
 
     @cached_property

@@ -1,7 +1,8 @@
 """Royal polynomial, royal nodes, type classification and extremity tests.
 
-The royal polynomial of h = (E/D, D~/D) is R = 4 D D~ - E^2; its zeros in
-the closed disc are the points h maps onto the variety s^2 = 4p. Interior
+The royal polynomial of h = (E/D, D~/D) is R = 4 D D~ - E^2, read off the
+cached circle gap as lambda^n (4|D|^2 - |E|^2) (E is n-symmetric). Its zeros
+in the closed disc are the points h maps onto the variety s^2 = 4p. Interior
 zeros count with full order, circle zeros (always of even order) with half,
 and the resulting type (n, k) decides extremity: h is an extreme point of
 the inner maps exactly when 2k > n.
@@ -55,21 +56,16 @@ class RoyalProfile:
 
 
 def royal_polynomial(h: GammaInner) -> Poly:
-    """R = 4 D D~ - E^2, trimmed against the scale of its two halves.
+    """R = lambda^n (4|D|^2 - |E|^2): coefficient k is a_{k-n} of ``h.gap``.
 
-    The difference suffers catastrophic cancellation when h maps into the
-    royal variety; coefficients below ``eps_trim`` relative to the summand
-    scale are therefore snapped to zero, and a fully vanishing R raises
-    :class:`RoyalVariety`.
+    This is 4 D D~ - E^2 for n-symmetric E, and exactly self-inversive. Near
+    the royal variety the gap cancels catastrophically, so coefficients below
+    ``eps_trim`` times the larger autocorrelation peak (a constant term) are
+    snapped to zero; a fully vanishing R raises :class:`RoyalVariety`.
     """
-    product = 4.0 * (h.D * h.d_reflected)
-    square = h.E * h.E
-    width = max(len(product.coeffs), len(square.coeffs))
-    raw = [a - b for a, b in zip(product.padded(width), square.padded(width))]
-    scale = max(product.max_coeff, square.max_coeff, 1e-300)
-    cutoff = h.tol.eps_trim * scale
-    snapped = [0j if abs(c) <= cutoff else c for c in raw]
-    r = Poly(snapped)
+    scale = max(4.0 * h.d_power.coeff(0).real, sum(abs(c) ** 2 for c in h.E.coeffs))
+    raw = [0j] * (h.n - h.gap.n) + list(h.gap.coeffs)
+    r = Poly([0j if abs(c) <= h.tol.eps_trim * scale else c for c in raw])
     if r.is_zero():
         raise RoyalVariety("the royal polynomial vanishes identically")
     return r

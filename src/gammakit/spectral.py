@@ -389,7 +389,7 @@ def fejer_riesz(f: TrigPoly, tol: ToleranceConfig = DEFAULT_TOL) -> Poly:
             break
         size *= 2
     else:  # no root-free factor accepted, or none tried
-        analytic = Poly([g.coeff(k - top) for k in range(2 * top + 1)])
+        analytic = Poly(g.coeffs)
         roots = roots_with_multiplicity(analytic, tol)
         on_circle, _, outside = partition_circle_roots(roots, analytic, tol)
         selected = outside + [(z, m // 2) for z, m in on_circle]

@@ -29,8 +29,8 @@ class ToleranceConfig:
 
     def __post_init__(self):
         for name in ("eps_trim", "eps_root", "eps_circle", "eps_residual"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be strictly positive")
+            if not 0.0 < getattr(self, name) < float("inf"):
+                raise ValueError(f"{name} must be finite and strictly positive")
         if not self.eps_circle < 0.5:
             raise ValueError("eps_circle must be below 0.5")
         if self.circle_samples < 256:

@@ -422,6 +422,18 @@ def test_cli_tolerance_overrides(tmp_path, capsys, monkeypatch):
                          "--p", "0,0"]) == 2
     assert "bad value for --tol circle_samples: '1e3'" in capsys.readouterr().err
 
+    # an infinite tolerance would accept E = 3 lambda, D = 1 (|s(1)| = 3, outside Gamma)
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"n": 2, "E": [[0, 0], [3, 0], [0, 0]], "D": [[1, 0]]}')
+    assert cli_dispatch(["analyze", str(bad)]) == 1
+    capsys.readouterr()
+    assert cli_dispatch(["--tol", "eps_residual=inf", "analyze", str(bad)]) == 2
+    assert "eps_residual must be finite" in capsys.readouterr().err
+    with monkeypatch.context() as env:
+        env.setenv("GAMMAKIT_TOL_EPS_RESIDUAL", "inf")
+        assert cli_dispatch(["analyze", str(bad)]) == 2
+    assert "eps_residual must be finite" in capsys.readouterr().err
+
     # widened residual tolerance flips a near-boundary classification
     assert cli_dispatch(["--tol", "eps_residual=0.2", "membership",
                          "--s", "1.9,0", "--p", "0.9,0"]) == 0
@@ -433,6 +445,13 @@ def test_cli_tolerance_overrides(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("GAMMAKIT_TOL_EPS_RESIDUAL", "0.2")
     assert cli_dispatch(["membership", "--s", "1.9,0", "--p", "0.9,0"]) == 0
     assert capsys.readouterr().out.strip() == wide
+
+
+@pytest.mark.parametrize("name", ["eps_trim", "eps_root", "eps_circle", "eps_residual"])
+@pytest.mark.parametrize("value", [math.inf, math.nan, 0.0])
+def test_tolerance_config_rejects_non_finite_or_non_positive(name, value):
+    with pytest.raises(ValueError, match=name):
+        ToleranceConfig(**{name: value})
 
 
 def test_cli_superficial_example(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 import random
 import sys
@@ -7,7 +8,9 @@ import pytest
 
 import gammakit.royal
 from gammakit import (
+    GammaKitError,
     NodeRegion,
+    OddCircleZero,
     OrderOverflow,
     Poly,
     RoyalVariety,
@@ -29,7 +32,7 @@ from gammakit import (
     witness_non_extreme,
 )
 
-from helpers import random_unimodular, same_multiset
+from helpers import random_spec, random_unimodular, same_multiset
 
 
 def test_royal_polynomial_h0():
@@ -252,3 +255,53 @@ def test_superficial_type_and_extremity():
         assert is_s_extreme(h)
         got = is_superficial(h)
         assert got is not None and abs(got - omega) < 1e-9
+
+
+def _shallow_sweep(ratio):
+    """(spec index, found k or the raised error, circle sigma count) with t_plus = t^2 / ratio.
+
+    The 30 ``random_spec(Random(2), n_max=8)`` specs: |E|^2 dominates R by about the ratio.
+    """
+    rng = random.Random(2)
+    outcomes = []
+    for index in range(30):
+        spec = random_spec(rng, n_max=8)
+        circle = sum(abs(abs(sigma) - 1.0) <= 1e-12 for sigma in spec.sigmas)
+        h = synthesize(dataclasses.replace(spec, t_plus=spec.t * spec.t / ratio))
+        try:
+            found = royal_profile(h).k
+        except GammaKitError as exc:
+            found = exc
+        outcomes.append((index, found, circle))
+    return outcomes
+
+
+_ITEM_1 = pytest.mark.xfail(
+    strict=True,
+    reason="known defect (ROADMAP item 1): once |E|^2 dominates R, the circle double "
+    "roots of R split under cancellation and royal_profile can return a wrong k",
+)
+
+
+@pytest.mark.parametrize(
+    "ratio", [1e2, 1e4, pytest.param(1e5, marks=_ITEM_1), pytest.param(1e6, marks=_ITEM_1)]
+)
+def test_royal_type_right_or_flagged_when_e_squared_dominates(ratio):
+    wrong = [
+        (index, found, circle)
+        for index, found, circle in _shallow_sweep(ratio)
+        if not isinstance(found, GammaKitError) and found != circle
+    ]
+    assert not wrong
+
+
+def test_shallow_sweep_errors_are_royal_circle_zeros():
+    raised = [
+        found
+        for ratio in (1e2, 1e4, 1e5, 1e6)
+        for _, found, _ in _shallow_sweep(ratio)
+        if isinstance(found, GammaKitError)
+    ]
+    assert raised  # the sweep reaches royal_profile's OddCircleZero re-raise
+    for exc in raised:
+        assert type(exc) is OddCircleZero and str(exc).startswith("royal polynomial: ")

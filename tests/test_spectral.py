@@ -7,10 +7,12 @@ import numpy as np
 import pytest
 
 from gammakit import (
+    DEFAULT_TOL,
     BadParameter,
     GammaKitError,
     NotBalanced,
     NotNonnegative,
+    OddCircleZero,
     Poly,
     TrigPoly,
     ZeroPolynomial,
@@ -24,6 +26,7 @@ from gammakit import (
 )
 import gammakit.polynomials
 from gammakit.inner import circle_gap
+from gammakit.spectral import partition_circle_roots
 from gammakit.synthesis import build_re
 
 from helpers import count_calls, random_poly, random_spec
@@ -307,6 +310,28 @@ def test_fejer_riesz_unique_up_to_rotation():
     rotated = to_trig_modulus_squared(complex(math.cos(1.0), math.sin(1.0)) * d)
     d2 = fejer_riesz(rotated)
     assert max(abs(abs(a) - abs(b)) for a, b in zip(d.padded(6), d2.padded(6))) < 1e-9
+
+
+def test_partition_merges_close_circle_roots_by_angle():
+    # Two simple unit roots 2e-6 rad apart lie within the merge radius eps_root^(1/2).
+    near = [(cmath.exp(1j * 1.0), 1), (cmath.exp(1j * (1.0 + 2e-6)), 1)]
+    roots = near + [(0.5, 1), (2.0, 1)]
+    circle, inside, outside = partition_circle_roots(roots, poly_from_roots(roots), DEFAULT_TOL)
+    assert len(circle) == 1 and circle[0][1] == 2
+    assert abs(circle[0][0] - cmath.exp(1j * (1.0 + 1e-6))) < 1e-12
+    assert inside == [(0.5, 1)] and outside == [(2.0, 1)]
+
+
+def test_partition_raises_on_odd_hard_circle_zero():
+    with pytest.raises(OddCircleZero, match="odd order 1"):
+        partition_circle_roots([(1.0, 1)], Poly([-1, 1]), DEFAULT_TOL)
+
+
+@pytest.mark.parametrize("root, side", [(1 + 5e-8, 2), (1 - 5e-8, 1)])
+def test_partition_odd_soft_circle_zero_keeps_its_radial_side(root, side):
+    # Off the eps_circle annulus but within the location uncertainty of a triple root.
+    parts = partition_circle_roots([(root, 1)], poly_from_roots([(1.0, 3)]), DEFAULT_TOL)
+    assert parts[0] == [] and parts[side] == [(root, 1)] and parts[3 - side] == []
 
 
 def test_trig_poly_rejects_non_hermitian():
