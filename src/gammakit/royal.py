@@ -20,7 +20,7 @@ import numpy as np
 from .errors import OddCircleZero, OrderOverflow, RoyalVariety
 from .inner import GammaInner, _h_values
 from .polynomials import Poly, is_n_symmetric, roots_with_multiplicity
-from .spectral import TrigPoly, circle_extrema, partition_circle_roots, to_trig_shifted
+from .spectral import circle_extrema, partition_circle_roots, to_trig_shifted
 from .tolerances import DEFAULT_TOL, ToleranceConfig
 
 
@@ -80,41 +80,14 @@ def is_n_balanced(r: Poly, n: int, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     return min_val >= -tol.eps_residual * (1.0 + shifted.max_coeff)
 
 
-def _refine_circle_angle(gap: TrigPoly, angle: float, order: int) -> float:
-    """Newton refinement of a circle node's angle at the given zero order.
-
-    ``gap`` is the circle function 4|D|^2 - |E|^2 (``GammaInner.gap``), whose
-    t-derivatives come from its autocorrelation coefficients. It vanishes to
-    the cluster order, so its first derivative has a zero of multiplicity
-    order - 1 there; the multiplicity-aware Newton step converges
-    quadratically to it.
-    """
-    _, slope, curve = gap._angle_derivatives
-    t = angle
-    for _ in range(20):
-        z = cmath.exp(1j * t)
-        first = slope(z).real
-        second = curve(z).real
-        if second == 0.0:
-            break
-        step = (order - 1) * first / second
-        if abs(step) > 5e-2:
-            break
-        t -= step
-        if abs(step) < 1e-14:
-            break
-    return t if abs(t - angle) <= 5e-2 else angle
-
-
 def royal_profile(h: GammaInner, tol: ToleranceConfig | None = None) -> RoyalProfile:
     """Royal nodes of h with multiplicities and the type (n, k).
 
     Zeros of R inside the disc keep their order as multiplicity. Zeros on
-    the circle (located by the parity-aware snap of
-    ``partition_circle_roots``, since circle zeros of R always have even
-    order) carry half their order; their angles get a final Newton
-    refinement on the real circle function 4|D|^2 - |E|^2. Zeros outside
-    the disc are the reflected partners and are discarded.
+    the circle carry half their order; each is the unimodular point of a
+    merged cluster from the parity-aware snap of ``partition_circle_roots``
+    (circle zeros of R always have even order). Zeros outside the disc are
+    the reflected partners and are discarded.
 
     The profile for ``h.tol`` (``tol`` omitted or equal) is computed once per
     map and kept on that instance; later calls, such as those inside
@@ -133,11 +106,7 @@ def royal_profile(h: GammaInner, tol: ToleranceConfig | None = None) -> RoyalPro
         raise OddCircleZero(f"royal polynomial: {exc}") from exc
 
     disc_nodes = [RoyalNode(z, m, NodeRegion.DISC) for z, m in inside]
-
-    circle_nodes = []
-    for z, order in circle_raw:
-        angle = _refine_circle_angle(h.gap, cmath.phase(z), order)
-        circle_nodes.append(RoyalNode(cmath.exp(1j * angle), order // 2, NodeRegion.CIRCLE))
+    circle_nodes = [RoyalNode(z, order // 2, NodeRegion.CIRCLE) for z, order in circle_raw]
 
     disc_nodes.sort(key=lambda nd: (abs(nd.location), cmath.phase(nd.location)))
     circle_nodes.sort(key=lambda nd: cmath.phase(nd.location) % (2.0 * math.pi))
@@ -162,11 +131,11 @@ def boundary_flatness(
     """Order to which |s| attains the value 2 along the circle at tau.
 
     Returns 0 when |s(tau)| stays below 2. Otherwise the vanishing order of
-    2 - |s(e^{it})| is estimated from symmetric dyadic samples with one
-    Richardson extrapolation step; at a circle royal node of multiplicity nu
-    the result is 2 nu. The base scale shrinks adaptively until the gap is
-    small, so sharply curved nodes (and nearby neighbours) stop contaminating
-    the leading-order model.
+    2 - |s(e^{it})| is the rounded last log2-ratio of symmetric dyadic
+    samples above ``_FLATNESS_FLOOR``; at a circle royal node of
+    multiplicity nu the result is 2 nu. The base scale shrinks adaptively
+    until the gap is small, so sharply curved nodes (and nearby neighbours)
+    stop contaminating the leading-order model.
     """
     tol = tol or h.tol
     tau = complex(tau)
@@ -197,11 +166,7 @@ def boundary_flatness(
             estimates.append(math.log(lo / hi) / math.log(2.0))
     if not estimates:
         raise OrderOverflow("flatness exceeds every resolvable order at this point")
-    if len(estimates) >= 2:
-        refined = estimates[-1] + (estimates[-1] - estimates[-2]) / 3.0
-    else:
-        refined = estimates[-1]
-    order = max(int(round(refined)), 0)
+    order = max(int(round(estimates[-1])), 0)
     if order > max_order:
         raise OrderOverflow(f"estimated order {order} exceeds the cap {max_order}")
     return order
@@ -218,10 +183,11 @@ def is_superficial(
 ) -> complex | None:
     """The unimodular omega with E = omega D + conj(omega) D~, if one exists.
 
-    The candidate is fitted by least squares treating omega and its conjugate
-    as independent unknowns, projected to the circle, and then verified
-    coefficientwise; ``None`` means h does not have the boundary-valued form
-    (omega + conj(omega) p, p).
+    E = a D + b D~ is fitted by least squares with a and b independent. When
+    the form holds, the minimum-norm fit has b = conj(a) (also when D~ is a
+    multiple of D), so omega is (a + conj(b)) / 2 projected to the circle and
+    verified coefficientwise; ``None`` means h does not have the
+    boundary-valued form (omega + conj(omega) p, p).
     """
     tol = tol or h.tol
     width = h.n + 1
@@ -232,18 +198,12 @@ def is_superficial(
     solution, *_ = np.linalg.lstsq(matrix, target, rcond=None)
     fitted, fitted_conj = solution
 
-    candidates = []
-    if abs(fitted) > 0.0:
-        candidates.append(fitted / abs(fitted))
-    if abs(fitted_conj) > 0.0:
-        candidates.append(fitted_conj.conjugate() / abs(fitted_conj))
     averaged = 0.5 * (fitted + fitted_conj.conjugate())
-    if abs(averaged) > 0.0:
-        candidates.append(averaged / abs(averaged))
-
+    if averaged == 0.0:
+        return None
+    omega = averaged / abs(averaged)
+    residual = target - omega * d_col - omega.conjugate() * dr_col
     scale = 1.0 + max(h.E.max_coeff, h.D.max_coeff)
-    for omega in candidates:
-        residual = target - omega * d_col - omega.conjugate() * dr_col
-        if float(np.max(np.abs(residual))) <= tol.eps_residual * scale:
-            return complex(omega)
+    if float(np.max(np.abs(residual))) <= tol.eps_residual * scale:
+        return complex(omega)
     return None

@@ -302,6 +302,16 @@ def test_cli_example_analyze(tmp_path, capsys):
     assert payload["superficial"] is None
 
 
+def test_cli_analyze_royal_variety(tmp_path, capsys):
+    # h = (2 lambda, lambda^2) lies in the royal variety s^2 = 4p: no type to report
+    target = tmp_path / "variety.json"
+    target.write_text('{"E": [[0,0],[2,0]], "D": [[1,0]], "n": 2}')
+    assert cli_dispatch(["analyze", str(target)]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["royal_variety"] is True
+    assert "type" not in payload
+
+
 def test_cli_synthesize_trace_factorize(tmp_path, capsys):
     spec_file = tmp_path / "spec.json"
     spec_file.write_text(json.dumps({
@@ -433,6 +443,16 @@ def test_cli_tolerance_overrides(tmp_path, capsys, monkeypatch):
         env.setenv("GAMMAKIT_TOL_EPS_RESIDUAL", "inf")
         assert cli_dispatch(["analyze", str(bad)]) == 2
     assert "eps_residual must be finite" in capsys.readouterr().err
+    with monkeypatch.context() as env:
+        env.setenv("GAMMAKIT_TOL_EPS_ROOT", "x")
+        assert cli_dispatch(["membership", "--s", "0,0", "--p", "0,0"]) == 2
+    assert "bad value for GAMMAKIT_TOL_EPS_ROOT: 'x'" in capsys.readouterr().err
+    assert cli_dispatch(["--tol", "eps_circle=0.5", "membership", "--s", "0,0",
+                         "--p", "0,0"]) == 2
+    assert "eps_circle must be below 0.5" in capsys.readouterr().err
+    assert cli_dispatch(["--tol", "circle_samples=100", "membership", "--s", "0,0",
+                         "--p", "0,0"]) == 2
+    assert "circle_samples must be at least 256" in capsys.readouterr().err
 
     # widened residual tolerance flips a near-boundary classification
     assert cli_dispatch(["--tol", "eps_residual=0.2", "membership",

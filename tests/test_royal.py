@@ -47,6 +47,11 @@ def test_royal_polynomial_variety_branch():
     squared = from_inner_pair((Poly([0, 1]), Poly([1]), 1), (Poly([0, 1]), Poly([1]), 1))
     with pytest.raises(RoyalVariety):
         royal_polynomial(squared)
+    # (2m, m^2) for a Moebius m: R vanishes only up to rounding, which the eps_trim snap clears
+    a = 0.3 + 0.2j
+    mobius = (Poly([-a, 1]), Poly([1, -a.conjugate()]), 1)
+    with pytest.raises(RoyalVariety):
+        royal_polynomial(from_inner_pair(mobius, mobius))
 
 
 def test_royal_polynomial_geodesic_node():
@@ -99,6 +104,32 @@ def test_royal_profile_geodesics():
     profile = royal_profile(geodesic(1j))
     assert profile.type_pair == (1, 1)
     assert abs(profile.nodes[0].location + 1) < 1e-10  # beta^2 = -1
+
+
+def test_triple_circle_node_stays_on_sigma():
+    # A circle sigma of multiplicity 3 is an order-6 zero of R; its merged cluster
+    # point is the node, with no angle correction that could pull it off sigma.
+    sigma = -0.18476087795371252 + 0.9827835051412764j
+    spec = SynthesisSpec(
+        alphas=(),
+        taus=(
+            -0.4419392242091989 + 0.8970449944709414j,
+            0.889119270686953 - 0.457675564666829j,
+            0.5205236674541506 - 0.8538472413845938j,
+            -0.14424449073688614 - 0.9895420793943309j,
+            0.8957274097900161 + 0.44460365197653134j,
+        ),
+        sigmas=(sigma, sigma, sigma, -0.09667625733714875 + 0.13731906276924874j,
+                0.237267909463023 + 0.4393406885926202j),
+        t_plus=0.2818671174379421,
+        t=1.0772624422122152,
+        omega=-0.7943454759180474 - 0.607466266461382j,
+    )
+    h = synthesize(spec)
+    (node,) = royal_profile(h).circle_nodes()
+    assert node.multiplicity == 3 and abs(node.location - sigma) < 1e-10
+    near = [z for z in recover_spec(h).sigmas if abs(z - sigma) < 1e-10]
+    assert len(near) == 3
 
 
 @pytest.fixture
@@ -305,3 +336,42 @@ def test_shallow_sweep_errors_are_royal_circle_zeros():
     assert raised  # the sweep reaches royal_profile's OddCircleZero re-raise
     for exc in raised:
         assert type(exc) is OddCircleZero and str(exc).startswith("royal polynomial: ")
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="known defect (ROADMAP item 3): the order-6 circle zero of R comes back as six "
+    "simple roots about 0.0103 from sigma, past the 1e-2 cluster cap, and counts as disc nodes",
+)
+def test_triple_circle_node_past_the_cluster_cap():
+    sigma = cmath.exp(3.825j)
+    spec = SynthesisSpec(
+        alphas=(0.08 + 0.55j, 0.45 - 0.08j, 0.51 - 0.13j),
+        taus=(cmath.exp(-0.2j),),
+        sigmas=(sigma, sigma, sigma, 0.02 + 0.016j, -0.48 - 0.42j, -0.22 - 0.23j, -0.57 + 0.56j),
+        t_plus=6.7,
+        t=1.55,
+        omega=1,
+    )
+    h = synthesize(spec)
+    try:
+        found = royal_profile(h).type_pair
+    except GammaKitError:
+        return
+    assert found == (7, 3)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="known defect (ROADMAP item 1): on an unreduced non-strict map the circle zero "
+    "D shares with E counts as a royal node, so the type exceeds the degree",
+)
+def test_non_strict_map_with_cancelled_circle_zero():
+    # E / D = (1 + lambda) / 2 and D~ / D = lambda after cancelling 1 + lambda: degree 1.
+    h = validate(Poly([0.5, 1, 0.5]), Poly([1, 1]), 2, strict=False)
+    assert h.degree == 1
+    try:
+        found = royal_profile(h).type_pair
+    except GammaKitError:
+        return
+    assert found == (1, 0)
