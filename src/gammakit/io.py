@@ -7,12 +7,14 @@ precision through Python's shortest round-trip float rendering.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from typing import NamedTuple
 
 import numpy as np
 
+from ._floatrepr import repr_blocks
 from .errors import GammaKitError, ParseError, ValidationError
 from .geometry import _chart_curve
 from .inner import GammaInner, _h_values, validate
@@ -234,6 +236,12 @@ def trace_boundary(h: GammaInner, samples: int) -> list[TraceRow]:
 
 
 def trace_to_csv(rows) -> str:
-    """TRACE_HEADER, then each row as the repr of every field; each line ends in a newline."""
-    line = TRACE_HEADER.count(",") * "%r," + "%r\n"  # %r renders a float as repr does
-    return TRACE_HEADER + "\n" + "".join([line % row for row in rows])
+    """TRACE_HEADER, then one line per row: repr(float(field)) of each field, comma-separated,
+    each line ending in a newline, so a numpy scalar is written as a float. A row without
+    nine fields raises TypeError; a field float() rejects raises as float() does."""
+    rows = list(rows)
+    width = len(TraceRow._fields)
+    if not {width}.issuperset(map(len, rows)):
+        raise TypeError(f"every trace row needs {width} fields")
+    values = np.fromiter(map(float, itertools.chain.from_iterable(rows)), float, width * len(rows))
+    return "".join([TRACE_HEADER + "\n", *repr_blocks(values, width)])

@@ -3,8 +3,10 @@ import dataclasses
 import itertools
 import json
 import math
+import random
 import re
 import struct
+import sys
 
 import numpy as np
 import pytest
@@ -248,6 +250,75 @@ def test_trace_csv_round_trips_any_float(rows):
                 assert math.isnan(back)
             else:
                 assert struct.pack("<d", back) == struct.pack("<d", value)
+
+
+def test_trace_csv_matches_repr_at_scale():
+    # The vectorized formatter against repr on random bit patterns (nan payloads and
+    # subnormals included), every power of two, every power of ten of either sign,
+    # the smallest subnormals' multiples, the fixed/exponent layout switch points and
+    # the values around 2**53.
+    bits = np.random.default_rng(20240214).integers(0, 2**64, 200_007, dtype=np.uint64)
+    values = bits.view(np.float64).tolist()
+    values += [math.ldexp(1.0, k) for k in range(-1074, 1024)]
+    values += [sign * 10.0**k for k in range(-323, 309) for sign in (1.0, -1.0)]
+    values += [k * 5e-324 for k in range(1, 2000)]
+    values += [0.0001, 0.00011, 1e-05, 9999999999999998.0, 1e15, 1e16]
+    values += [2.0**53 + 1, 2.0**53 - 1, 2.0**52 + 1, sys.float_info.max, sys.float_info.min]
+    values += [math.nan, math.inf, -math.inf, 0.0, -0.0]
+    values += [0.5] * (-len(values) % 9)
+    rows = [TraceRow._make(values[i:i + 9]) for i in range(0, len(values), 9)]
+    assert trace_to_csv(rows) == _reference_csv(rows)
+
+
+def test_trace_csv_writes_fields_as_floats():
+    # numpy 2 scalars repr as np.float64(0.5); the CSV holds repr(float(field)).
+    assert trace_to_csv([(np.float64(0.5),) * 9]).split("\n")[1] == ",".join(["0.5"] * 9)
+    row = (np.float32(0.1), np.int64(3), 7, True, np.float64(-0.0), np.float16(1.5),
+           np.float64(np.nan), 2.5, np.float64(1e-300))
+    expected = ",".join(repr(float(field)) for field in row)
+    assert expected.startswith("0.10000000149011612,3.0,7.0,1.0,-0.0,1.5,nan,2.5,")
+    assert trace_to_csv([row]) == TRACE_HEADER + "\n" + expected + "\n"
+    for rows in ([(0.5,) * 8], [(0.5,) * 10], [(0.5,) * 9, (0.5,) * 8]):
+        with pytest.raises(TypeError):
+            trace_to_csv(rows)
+    with pytest.raises(ValueError):
+        trace_to_csv([("x",) + (0.5,) * 8])
+    with pytest.raises(TypeError):
+        trace_to_csv([(None,) + (0.5,) * 8])
+
+
+def _near_pole_map():
+    """The 27th random_spec(Random(1)) draw: degree 10, a pole 5.02e-5 outside the circle."""
+    from helpers import random_spec
+
+    rng = random.Random(1)
+    for _ in range(26):
+        random_spec(rng)
+    return synthesize(random_spec(rng))
+
+
+def _turns(h, samples):
+    """Turns theta gains over one loop of the trace, closed back at t = 2 pi."""
+    rows = trace_boundary(h, samples)
+    s, p = h.eval(1.0)
+    _, theta_close = mobius_chart(s, p, rows[-1].theta, h.tol)
+    return (theta_close - rows[0].theta) / (2 * math.pi)
+
+
+def test_trace_near_pole_unwinds_on_a_fine_grid():
+    h = _near_pole_map()
+    assert h.degree == 10
+    assert _turns(h, 131072) == pytest.approx(10)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="known defect (ROADMAP item 4): p turns once within an arc of about the pole's "
+    "distance 5e-5 from the circle, so a 1,024-sample grid loses whole turns of theta",
+)
+def test_trace_near_pole_unwinds_on_the_default_grid():
+    h = _near_pole_map()
+    assert _turns(h, 1024) == pytest.approx(h.degree)
 
 
 def test_trace_off_fiber_reports_deviation():
