@@ -33,16 +33,8 @@ class Poly:
     coeffs: tuple[complex, ...]
 
     def __init__(self, coeffs=(), eps_trim: float = _TRIM_REL):
-        cs = [complex(c) for c in coeffs]
-        mags = list(map(abs, cs))
-        # The sum is finite unless a modulus is not, or the sum overflows.
-        if not math.isfinite(sum(mags)) and not all(map(math.isfinite, mags)):
-            raise BadParameter("polynomial coefficients must be finite")
-        cutoff = eps_trim * max(mags, default=0.0)
-        end = len(cs)
-        while end > 0 and mags[end - 1] <= cutoff:
-            end -= 1
-        object.__setattr__(self, "coeffs", tuple(cs[:end]))
+        cs = tuple(list(map(complex, coeffs)))  # tuple(map)'s resizing fills tuple free lists
+        object.__setattr__(self, "coeffs", _normalized(cs, eps_trim))
 
     # -- basic queries ------------------------------------------------------
 
@@ -56,7 +48,7 @@ class Poly:
 
     @property
     def max_coeff(self) -> float:
-        return max((abs(c) for c in self.coeffs), default=0.0)
+        return max(map(abs, self.coeffs), default=0.0)
 
     def coeff(self, k: int) -> complex:
         return self.coeffs[k] if 0 <= k < len(self.coeffs) else 0j
@@ -79,26 +71,56 @@ class Poly:
 
     def __mul__(self, other):
         if isinstance(other, Poly):
-            if self.is_zero() or other.is_zero():
-                return Poly()
-            out = [0j] * (len(self.coeffs) + len(other.coeffs) - 1)
-            for i, a in enumerate(self.coeffs):
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-            return Poly(out)
+            return Poly(_convolve(self.coeffs, other.coeffs))
         return Poly([complex(other) * c for c in self.coeffs])
 
     __rmul__ = __mul__
 
     def __call__(self, z):
         """Horner evaluation at z: a complex, or elementwise over a numpy array."""
-        acc = 0j
-        for c in reversed(self.coeffs):
-            acc = acc * z + c
-        return acc
+        return _horner(self.coeffs, z)
 
     def derivative(self) -> "Poly":
         return Poly([k * c for k, c in enumerate(self.coeffs)][1:])
+
+
+def _check_finite(mags, what: str = "polynomial") -> None:
+    """Raise :class:`BadParameter` unless every coefficient modulus in mags is finite."""
+    # The sum is finite unless a modulus is not, or the sum overflows.
+    if not math.isfinite(sum(mags)) and not all(map(math.isfinite, mags)):
+        raise BadParameter(f"{what} coefficients must be finite")
+
+
+def _normalized(cs, eps_trim: float = _TRIM_REL):
+    """Slice of the complex sequence cs that ``Poly.__init__`` keeps: non-finite entries
+    raise, trailing moduli at most ``eps_trim`` times the largest are trimmed."""
+    mags = list(map(abs, cs))
+    _check_finite(mags)
+    cutoff = eps_trim * max(mags, default=0.0)
+    end = len(cs)
+    while end > 0 and mags[end - 1] <= cutoff:
+        end -= 1
+    return cs[:end]
+
+
+def _convolve(a, b) -> list[complex]:
+    """Untrimmed product coefficients of two coefficient sequences (zeros if one is empty)."""
+    out = [0j] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _horner(cs, z):
+    """Ascending coefficients cs at z, a complex or elementwise a numpy array; empty cs
+    (the zero polynomial) gives 0j or complex zeros shaped like the array."""
+    if not cs:
+        return np.zeros_like(z, dtype=complex) if isinstance(z, np.ndarray) else 0j
+    acc = 0j
+    for c in reversed(cs):
+        acc = acc * z + c
+    return acc
 
 
 def conj_reciprocal(f: Poly, n: int) -> Poly:
@@ -202,18 +224,18 @@ class _ClusterContext:
 
     def __init__(self, f: Poly, eps_coeff: float = 0.0):
         self.noise = 4.0 * max(f.degree, 1) * _EPS + eps_coeff
-        self._derivs = [f]
+        self._derivs = [f.coeffs]
 
-    def deriv(self, j: int) -> Poly | None:
-        """The j-th derivative, or None past the constant one.
+    def deriv(self, j: int):
+        """The j-th derivative's coefficients, or None past the constant one.
 
         The ladder is built on first use: polishing simple roots needs only
-        f and f'. Trimming in ``Poly.derivative`` can end it early.
+        f and f'. Trimming as in ``Poly.derivative`` can end it early.
         """
         while j >= len(self._derivs):
-            if self._derivs[-1].degree <= 0:
+            if len(self._derivs[-1]) <= 1:
                 return None
-            self._derivs.append(self._derivs[-1].derivative())
+            self._derivs.append(_normalized([k * c for k, c in enumerate(self._derivs[-1])][1:]))
         return self._derivs[j]
 
     def residual_floor(self, z: complex, j: int = 0) -> float:
@@ -222,12 +244,10 @@ class _ClusterContext:
         Combines the evaluation bound and the declared coefficient noise,
         with a peak term so the floor stays meaningful near the origin.
         """
-        g = self.deriv(j)
-        if g is None:
+        cs = self.deriv(j)
+        if cs is None:
             return 0.0
-        cs = g.coeffs
-        peak = max((abs(c) for c in cs), default=0.0)
-        return self.noise * (_abs_bound(cs, z) + peak)
+        return self.noise * (_abs_bound(cs, z) + max(map(abs, cs), default=0.0))
 
     def resolvability(self, z: complex, m: int) -> float:
         """Radius below which an m-fold root at z cannot be split.
@@ -239,7 +259,7 @@ class _ClusterContext:
         g = self.deriv(m)
         if g is None:
             return math.inf
-        lead = abs(g(z)) / math.factorial(m)
+        lead = abs(_horner(g, z)) / math.factorial(m)
         if lead == 0.0:
             return math.inf
         return (self.residual_floor(z) / lead) ** (1.0 / m)
@@ -250,7 +270,7 @@ class _ClusterContext:
             g = self.deriv(j)
             if g is None:
                 break
-            if abs(g(z)) > 32.0 * self.residual_floor(z, j):
+            if abs(_horner(g, z)) > 32.0 * self.residual_floor(z, j):
                 return False
         return True
 
@@ -336,25 +356,23 @@ def _polish_cluster(
     Returns the iterate with the smallest |g|, never one beyond the leash.
     """
     dg = ctx.deriv(mult)
-    if dg is None:
-        return z
     g = ctx.deriv(mult - 1)
-    if g.is_zero() or dg.is_zero():
+    if not dg or not g:  # past the ladder's end (None) or the zero polynomial
         return z
     leash = 4.0 * (spread + min(eps_root ** (1.0 / mult), _CLUSTER_CAP)) + 1e-12
     cur = z
     best = z
-    gv = g(z)
+    gv = _horner(g, z)
     best_val = abs(gv)
     for _ in range(12):
-        dgv = dg(cur)
+        dgv = _horner(dg, cur)
         if dgv == 0:
             break
         nxt = cur - gv / dgv
         if abs(nxt - z) > leash * (1.0 + abs(z)):
             break
         cur = nxt
-        gv = g(cur)
+        gv = _horner(g, cur)
         val = abs(gv)
         if val >= best_val:
             break
@@ -441,6 +459,6 @@ def root_location_uncertainties(
     out = []
     for z, m in roots:
         dg = ctx.deriv(m)
-        slope = abs(dg(z)) if dg is not None else 0.0
+        slope = abs(_horner(dg, z)) if dg is not None else 0.0
         out.append(ctx.residual_floor(z, max(m - 1, 0)) / slope if slope > 0.0 else math.inf)
     return tuple(out)

@@ -11,17 +11,19 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .errors import (
-    BadParameter, GammaKitError, NotBalanced, NotNonnegative, OddCircleZero, ZeroPolynomial,
-)
+from .errors import GammaKitError, NotBalanced, NotNonnegative, OddCircleZero, ZeroPolynomial
 from .polynomials import (
     _EPS,
     Poly,
+    _check_finite,
+    _horner,
+    _normalized,
     _schur_cohn_outer,
     is_n_symmetric,
     poly_from_roots,
@@ -49,9 +51,7 @@ class TrigPoly:
         if len(self.coeffs) != 2 * self.n + 1:
             raise ValueError("coefficient count must be 2n + 1")
         mags = list(map(abs, self.coeffs))
-        # The sum is finite unless a modulus is not, or the sum overflows.
-        if not math.isfinite(sum(mags)) and not all(map(math.isfinite, mags)):
-            raise BadParameter("trigonometric polynomial coefficients must be finite")
+        _check_finite(mags, "trigonometric polynomial")
         top = max(mags, default=0.0)
         for k in range(self.n + 1):
             lo = self.coeffs[self.n - k]
@@ -61,13 +61,16 @@ class TrigPoly:
 
     @classmethod
     def from_half_spectrum(cls, half) -> "TrigPoly":
-        """Build from a_0 .. a_n; negative frequencies are the conjugates."""
-        half = [complex(c) for c in half]
-        if not half:
-            half = [0j]
+        """Build from a_0 .. a_n; negative frequencies are the conjugates.
+
+        Hermitian by construction, so only finiteness is checked, not symmetry."""
+        half = list(map(complex, half)) or [0j]
         half[0] = complex(half[0].real, 0.0)
-        full = [c.conjugate() for c in reversed(half[1:])] + half
-        return cls(tuple(full), len(half) - 1)
+        _check_finite(list(map(abs, half)), "trigonometric polynomial")
+        full = list(map(complex.conjugate, reversed(half[1:]))) + half
+        out = object.__new__(cls)
+        out.__dict__.update(coeffs=tuple(full), n=len(half) - 1)
+        return out
 
     def coeff(self, k: int) -> complex:
         if abs(k) > self.n:
@@ -76,7 +79,7 @@ class TrigPoly:
 
     @property
     def max_coeff(self) -> float:
-        return max((abs(c) for c in self.coeffs), default=0.0)
+        return max(map(abs, self.coeffs), default=0.0)
 
     def value(self, t: float) -> float:
         return self._on_circle(cmath.exp(1j * t))
@@ -85,27 +88,28 @@ class TrigPoly:
         return self._on_circle(np.exp(1j * np.asarray(ts, dtype=float)))
 
     def _on_circle(self, lam):
-        """f at unimodular lam: a complex, or a numpy array of them.
+        """f at unimodular lam: a float, or a float array shaped like lam.
 
-        Horner on the half spectrum, the first of ``_angle_derivatives``. A
+        ``polynomials._horner`` on the first of ``_angle_derivatives``. A
         scalar lam stays in Python arithmetic, where numpy's per-call
         overhead would dominate one Horner pass. Uniform grids go through
         ``_grid_values`` instead.
         """
-        return self._angle_derivatives[0](lam).real
+        return _horner(self._angle_derivatives[0], lam).real
 
     @cached_property
-    def _angle_derivatives(self) -> tuple[Poly, Poly, Poly]:
-        """Polynomials whose real parts at e^{it} are f, f' and f'' in t.
+    def _angle_derivatives(self) -> tuple[list, list, list]:
+        """Coefficient lists whose polynomials' real parts at e^{it} are f, f' and f''.
 
         Hermitian symmetry gives f(t) = Re(a_0 + 2 sum_{k>=1} a_k e^{ikt}),
-        and each t-derivative multiplies a_k by ik.
+        and each t-derivative multiplies a_k by ik. Each list is normalized
+        as ``Poly(..., eps_trim=0.0)`` normalizes: exact trailing zeros go.
         """
         half = [self.coeffs[self.n]] + [2.0 * c for c in self.coeffs[self.n + 1 :]]
         return (
-            Poly(half, eps_trim=0.0),
-            Poly([1j * k * c for k, c in enumerate(half)], eps_trim=0.0),
-            Poly([-k * k * c for k, c in enumerate(half)], eps_trim=0.0),
+            _normalized(half, 0.0),
+            _normalized([1j * k * c for k, c in enumerate(half)], 0.0),
+            _normalized([-k * k * c for k, c in enumerate(half)], 0.0),
         )
 
     @classmethod
@@ -115,8 +119,7 @@ class TrigPoly:
         n = max((f.n for _, f in terms), default=0)
         half = [0j] * (n + 1)
         for weight, f in terms:
-            for k in range(f.n + 1):
-                half[k] += weight * f.coeff(k)
+            half[: f.n + 1] = map(operator.add, half, [weight * c for c in f.coeffs[f.n :]])
         return cls.from_half_spectrum(half)
 
 
@@ -135,10 +138,8 @@ def _correlation(a, b) -> list[complex]:
     the autocorrelation; with a != b the negative frequencies are those of
     the swapped pair, c_{-k} = conj(sum_j b_{j+k} conj(a_j)).
     """
-    return [
-        sum(a[j + k] * b[j].conjugate() for j in range(min(len(b), len(a) - k)))
-        for k in range(len(a))
-    ]
+    conj_b = [c.conjugate() for c in b]
+    return [sum(map(operator.mul, a[k:], conj_b)) for k in range(len(a))]
 
 
 def to_trig_shifted(p: Poly, n: int, tol: ToleranceConfig = DEFAULT_TOL) -> TrigPoly:
@@ -191,30 +192,30 @@ def _refine_minimum(f: TrigPoly, grid_values) -> tuple[float, float]:
     1e-13 or |f'| is at its rounding floor 8 eps sum |k a_k|. Returns the
     smallest value seen, grid point or iterate, and its angle mod 2 pi.
     """
-    j = int(np.argmin(grid_values))
+    j = int(grid_values.argmin())
     width = 2.0 * math.pi / len(grid_values)
     best_t = j * width
     best_v = float(grid_values[j])
 
     value, slope, curve = f._angle_derivatives
-    floor = 8.0 * _EPS * sum(abs(c) for c in slope.coeffs)
+    floor = 8.0 * _EPS * sum(map(abs, slope))
     lo = best_t - width
     hi = best_t + width
     t = best_t
     # Bisection alone narrows 2h below 1e-13 in fewer than 64 steps.
     for _ in range(64):
         z = cmath.exp(1j * t)
-        v = value(z).real
+        v = _horner(value, z).real
         if v < best_v:
             best_v, best_t = v, t
-        d1 = slope(z).real
+        d1 = _horner(slope, z).real
         if abs(d1) <= floor:
             break
         if d1 > 0.0:
             hi = t
         else:
             lo = t
-        d2 = curve(z).real
+        d2 = _horner(curve, z).real
         nxt = 0.5 * (lo + hi)
         if d2 > 0.0 and lo < t - d1 / d2 < hi:
             nxt = t - d1 / d2
@@ -253,7 +254,7 @@ def _newton_factor(d, half) -> tuple[np.ndarray, float]:
     for _ in range(11):
         lagged = np.where(upper, d.conj()[lag], 0.0)  # lagged @ d: the half spectrum of |D|^2
         gap = half - lagged @ d
-        res = float(np.max(np.abs(gap)))
+        res = float(np.abs(gap).max())
         if not res < best_res:
             break
         best, best_res = d, res
@@ -371,7 +372,7 @@ def fejer_riesz(f: TrigPoly, tol: ToleranceConfig = DEFAULT_TOL) -> Poly:
     if scale == 0.0:
         raise ZeroPolynomial("cannot factor the zero trigonometric polynomial")
 
-    half = [f.coeff(k) / scale for k in range(f.n + 1)]
+    half = [c / scale for c in f.coeffs[f.n :]]
     top = len(half) - 1
     while top > 0 and abs(half[top]) <= tol.eps_trim:
         top -= 1

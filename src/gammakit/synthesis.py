@@ -26,6 +26,8 @@ from .errors import (
 from .inner import GammaInner, _with_numerator, validate
 from .polynomials import (
     Poly,
+    _convolve,
+    _normalized,
     l_factor,
     poly_from_roots,
     q_factor,
@@ -119,17 +121,14 @@ class SynthesisSpec:
 
 
 def build_re(spec: SynthesisSpec) -> tuple[Poly, Poly]:
-    """The royal polynomial t+ prod Q_sigma and the n-symmetric E from the spec."""
+    """t+ prod Q_sigma (the royal polynomial) and the n-symmetric E, equal to ``Poly`` products."""
     tol = spec.tol
-    r = Poly([spec.t_plus])
+    r, e = [complex(spec.t_plus)], [complex(spec.t)]
     for sig in spec.sigmas:
-        r = r * q_factor(sig, tol)
-    e = Poly([spec.t])
-    for alpha in spec.alphas:
-        e = e * q_factor(alpha, tol)
-    for tau in spec.taus:
-        e = e * l_factor(tau, tol)
-    return r, e
+        r = _normalized(_convolve(r, q_factor(sig, tol).coeffs))
+    for factor in [q_factor(a, tol) for a in spec.alphas] + [l_factor(u, tol) for u in spec.taus]:
+        e = _normalized(_convolve(e, factor.coeffs))
+    return Poly(r), Poly(e)
 
 
 def synthesize(spec: SynthesisSpec, tol: ToleranceConfig | None = None) -> GammaInner:
@@ -200,7 +199,8 @@ def _coeff_ratio(num: Poly, den: Poly) -> complex:
     """Ratio num[j] / den[j] at the most significant coefficient of den."""
     if den.is_zero():
         raise BadSpec("cannot relate against a zero polynomial")
-    j = max(range(len(den.coeffs)), key=lambda i: abs(den.coeffs[i]))
+    mags = list(map(abs, den.coeffs))
+    j = mags.index(max(mags))
     return num.coeff(j) / den.coeffs[j]
 
 
@@ -294,7 +294,7 @@ def _admissible(pencil, grids, u: float, tol: ToleranceConfig) -> bool:
     gap = TrigPoly.lincomb(list(zip(weights, pencil)))
     floor = -0.5 * tol.eps_residual * (1.0 + gap.max_coeff)
     values = grids[0] - u * grids[1] - (u * u) * grids[2]
-    if float(np.min(values)) < floor:
+    if float(values.min()) < floor:
         return False
     min_val, _ = _refine_minimum(gap, values)
     return not min_val < floor

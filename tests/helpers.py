@@ -7,7 +7,16 @@ import math
 import random
 import sys
 
+import numpy as np
+from hypothesis import settings, strategies as st
+
 from gammakit import Poly, SynthesisSpec
+
+# Bit-for-bit properties: reproducible draws, and coefficients with finite parts where
+# both signed zeros are drawn often.
+BITWISE = settings(derandomize=True, max_examples=100, database=None, deadline=None)
+_PARTS = st.floats(-4.0, 4.0) | st.sampled_from([0.0, -0.0])
+COEFFS = st.builds(complex, _PARTS, _PARTS)
 
 
 def random_poly(rng: random.Random, degree: int) -> Poly:
@@ -104,3 +113,9 @@ def count_calls(monkeypatch, name: str, original) -> list:
         if module_name.startswith("gammakit") and getattr(module, name, None) is original:
             monkeypatch.setattr(module, name, counting)
     return calls
+
+
+def same_bits(a, b) -> bool:
+    """Whether two complex values, arrays or sequences agree in shape and every bit."""
+    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()

@@ -4,6 +4,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from gammakit import (
     DEFAULT_TOL,
@@ -22,9 +23,11 @@ from gammakit import (
     roots_with_multiplicity,
 )
 import gammakit.polynomials
-from gammakit.polynomials import _CLUSTER_CAP, _ClusterContext, _components
+from gammakit.polynomials import _CLUSTER_CAP, _ClusterContext, _components, _horner, _normalized
 
-from helpers import circle_points, random_poly, same_multiset
+from helpers import (
+    BITWISE, COEFFS, circle_points, count_calls, random_poly, same_bits, same_multiset,
+)
 
 
 def test_add_mul_eval():
@@ -187,21 +190,14 @@ def test_root_layer_matches_np_roots_and_pairwise_clustering(monkeypatch):
 
 
 def test_simple_root_polish_stops_at_convergence(monkeypatch):
-    calls = []
-    call = Poly.__call__
-
-    def counted(self, z):
-        calls.append(z)
-        return call(self, z)
-
     rng = random.Random(7)
     cases = [random_poly(rng, 16) for _ in range(20)]
-    monkeypatch.setattr(Poly, "__call__", counted)
+    calls = count_calls(monkeypatch, "_horner", gammakit.polynomials._horner)
     found = [roots_with_multiplicity(p) for p in cases]
     monkeypatch.undo()
     assert all(m == 1 for roots in found for _, m in roots)
     # One |g| at the start, then g' and g per Newton step; 12 steps made 25.
-    assert len(calls) < 10 * 16 * len(cases)
+    assert 16 * len(cases) <= len(calls) < 10 * 16 * len(cases)
     for p, roots in zip(cases, found):
         for z, _ in roots:
             assert abs(p(z)) <= 1e-10 * sum(abs(c) * abs(z) ** k for k, c in enumerate(p.coeffs))
@@ -318,3 +314,84 @@ def test_factor_symmetries():
         tau = cmath.exp(1j * rng.uniform(0, 2 * math.pi))
         assert is_n_symmetric(q_factor(sigma), 2)
         assert is_n_symmetric(l_factor(tau), 1)
+
+
+def test_zero_polynomial_at_array_points():
+    values = Poly([])(np.zeros(3))
+    assert isinstance(values, np.ndarray) and values.dtype == complex and values.shape == (3,)
+    assert not values.any()
+    assert Poly([])(np.zeros((2, 2))).shape == (2, 2)
+    assert same_bits(Poly([])(0.5), 0j)
+
+
+# -- bit-for-bit properties of the coefficient-list hot paths ------------------------
+
+
+def _reference_horner(cs, z):
+    """``Poly.__call__`` before it shared ``_horner``: the reference arithmetic."""
+    acc = 0j
+    for c in reversed(cs):
+        acc = acc * z + c
+    return acc
+
+
+def _reference_product(p: Poly, q: Poly) -> Poly:
+    """``Poly.__mul__`` before it shared ``_convolve``: the reference formula."""
+    if p.is_zero() or q.is_zero():
+        return Poly()
+    out = [0j] * (len(p.coeffs) + len(q.coeffs) - 1)
+    for i, a in enumerate(p.coeffs):
+        for j, b in enumerate(q.coeffs):
+            out[i + j] += a * b
+    return Poly(out)
+
+
+_TRAILING_ZEROS = st.lists(st.sampled_from([0j, complex(-0.0, 0.0), complex(0.0, -0.0), -0j]))
+_POINTS = st.builds(complex, st.floats(-1.5, 1.5), st.floats(-1.5, 1.5))
+
+
+@BITWISE
+@given(st.lists(COEFFS, max_size=7), _TRAILING_ZEROS, _POINTS, st.lists(_POINTS, max_size=4))
+def test_horner_on_lists_matches_poly_bit_for_bit(cs, zeros, z, zs):
+    cs = cs + zeros
+    kept = _normalized(cs, 0.0)
+    poly = Poly(cs, eps_trim=0.0)
+    assert same_bits(kept, poly.coeffs)
+    for point in (z, np.array(zs, dtype=complex)):
+        value = _horner(kept, point)
+        assert same_bits(value, poly(point))
+        if kept:
+            assert same_bits(value, _reference_horner(poly.coeffs, point))
+        else:
+            assert same_bits(value, np.zeros_like(point))
+
+
+@BITWISE
+@given(st.lists(COEFFS, max_size=6), _TRAILING_ZEROS, st.lists(COEFFS, max_size=6))
+def test_product_matches_reference_formula(a, zeros, b):
+    p, q = Poly(a + zeros), Poly(b)
+    assert same_bits((p * q).coeffs, _reference_product(p, q).coeffs)
+
+
+@BITWISE
+@given(st.lists(COEFFS, max_size=8))
+def test_cluster_ladder_matches_poly_derivatives(cs):
+    ladder = [Poly(cs)]
+    while ladder[-1].degree > 0:
+        ladder.append(ladder[-1].derivative())
+    ctx = _ClusterContext(ladder[0])
+    for j, rung in enumerate(ladder):
+        assert same_bits(ctx.deriv(j), rung.coeffs)
+    assert ctx.deriv(len(ladder)) is None
+
+
+@BITWISE
+@given(st.lists(COEFFS, min_size=1, max_size=6), st.data())
+def test_non_finite_coefficients_still_raise(cs, data):
+    k = data.draw(st.integers(0, len(cs) - 1))
+    bad = data.draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+    cs[k] = data.draw(st.sampled_from([complex(bad, cs[k].imag), complex(cs[k].real, bad)]))
+    with pytest.raises(BadParameter, match="polynomial coefficients must be finite"):
+        Poly(cs)
+    with pytest.raises(BadParameter, match="polynomial coefficients must be finite"):
+        _normalized(cs, 0.0)

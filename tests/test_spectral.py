@@ -5,6 +5,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from gammakit import (
     DEFAULT_TOL,
@@ -19,17 +20,19 @@ from gammakit import (
     circle_extrema,
     fejer_riesz,
     h_nu,
+    l_factor,
     poly_from_roots,
+    q_factor,
     roots_with_multiplicity,
     to_trig_modulus_squared,
     to_trig_shifted,
 )
 import gammakit.polynomials
 from gammakit.inner import circle_gap
-from gammakit.spectral import partition_circle_roots
+from gammakit.spectral import _correlation, partition_circle_roots
 from gammakit.synthesis import build_re
 
-from helpers import count_calls, random_poly, random_spec
+from helpers import BITWISE, COEFFS, count_calls, random_poly, random_spec, same_bits
 
 
 def test_modulus_squared_examples():
@@ -153,17 +156,11 @@ def test_circle_extrema_against_oracle(name):
 def test_circle_extrema_newton_stops_at_convergence(monkeypatch):
     rng = random.Random(10)
     f = circle_gap(random_poly(rng, 10), random_poly(rng, 10))
-    angles = set()
-    call = Poly.__call__
-
-    def counted(self, z):
-        if not isinstance(z, np.ndarray):
-            angles.add(z)
-        return call(self, z)
-
-    monkeypatch.setattr(Poly, "__call__", counted)
+    calls = count_calls(monkeypatch, "_horner", gammakit.polynomials._horner)
     _, angle = circle_extrema(f, 1024)
     monkeypatch.undo()
+    angles = {z for _, z in calls if not isinstance(z, np.ndarray)}
+    assert angles
     # The minimum is nondegenerate, so Newton converges quadratically.
     curvature = -sum(
         k * k * f.coeff(k) * complex(math.cos(k * angle), math.sin(k * angle))
@@ -361,3 +358,80 @@ def test_lincomb_reads_one_shot_iterables():
     weights = [0.5, -1.25, 2.0]
     assert TrigPoly.lincomb(zip(weights, fs)) == TrigPoly.lincomb(list(zip(weights, fs)))
     assert TrigPoly.lincomb(zip(weights, fs)).max_coeff > 0.0
+
+
+def test_zero_trig_polynomial_values_at_array_points():
+    values = TrigPoly.from_half_spectrum([0]).values([0.0, 1.0])
+    assert isinstance(values, np.ndarray) and values.dtype == float and values.shape == (2,)
+    assert not values.any()
+    assert TrigPoly.from_half_spectrum([0]).value(1.0) == 0.0
+
+
+# -- bit-for-bit properties of the coefficient-list hot paths ------------------------
+
+
+
+@BITWISE
+@given(st.lists(COEFFS, max_size=7))
+def test_from_half_spectrum_passes_the_validating_constructor(half):
+    f = TrigPoly.from_half_spectrum(half)
+    expected = [complex(c) for c in half] or [0j]
+    expected[0] = complex(expected[0].real, 0.0)
+    assert same_bits(f.coeffs, [c.conjugate() for c in reversed(expected[1:])] + expected)
+    checked = TrigPoly(f.coeffs, f.n)  # raises on a list that is not Hermitian
+    assert checked == f and same_bits(checked.coeffs, f.coeffs)
+    doubled = [expected[0]] + [2.0 * c for c in expected[1:]]
+    rungs = (
+        Poly(doubled, eps_trim=0.0),
+        Poly([1j * k * c for k, c in enumerate(doubled)], eps_trim=0.0),
+        Poly([-k * k * c for k, c in enumerate(doubled)], eps_trim=0.0),
+    )
+    for found, rung in zip(f._angle_derivatives, rungs):
+        assert same_bits(found, rung.coeffs)
+
+
+@BITWISE
+@given(st.lists(COEFFS, max_size=7), st.lists(COEFFS, max_size=7))
+def test_correlation_matches_the_generator_formula(a, b):
+    expected = [
+        sum(a[j + k] * b[j].conjugate() for j in range(min(len(b), len(a) - k)))
+        for k in range(len(a))
+    ]
+    assert same_bits(_correlation(a, b), expected)
+
+
+@BITWISE
+@given(st.integers(0, 2**32 - 1), st.sampled_from([1.0, 1e-3, 1e-5]))
+def test_build_re_matches_poly_products(seed, shrink):
+    # Shrunken nodes and zeros make the products' top coefficients trimmable.
+    spec = random_spec(random.Random(seed))
+    spec = dataclasses.replace(
+        spec,
+        sigmas=tuple(shrink * s for s in spec.sigmas),
+        alphas=tuple(shrink * a for a in spec.alphas),
+    )
+    r = Poly([spec.t_plus])
+    for sig in spec.sigmas:
+        r = r * q_factor(sig, spec.tol)
+    e = Poly([spec.t])
+    for alpha in spec.alphas:
+        e = e * q_factor(alpha, spec.tol)
+    for tau in spec.taus:
+        e = e * l_factor(tau, spec.tol)
+    found_r, found_e = build_re(spec)
+    assert same_bits(found_r.coeffs, r.coeffs) and same_bits(found_e.coeffs, e.coeffs)
+
+
+@BITWISE
+@given(st.lists(COEFFS, min_size=1, max_size=6), st.data())
+def test_trig_constructors_still_reject_bad_input(half, data):
+    k = data.draw(st.integers(0, len(half) - 1))
+    f = TrigPoly.from_half_spectrum(half)
+    coeffs = list(f.coeffs)
+    coeffs[f.n - k] += 1e-6j * (1.0 + f.max_coeff)  # breaks a_{-k} = conj(a_k), k = 0 too
+    with pytest.raises(ValueError, match="not Hermitian"):
+        TrigPoly(tuple(coeffs), f.n)
+    bad = data.draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+    half[k] = complex(bad, half[k].imag)
+    with pytest.raises(BadParameter, match="trigonometric polynomial coefficients must be finite"):
+        TrigPoly.from_half_spectrum(half)
