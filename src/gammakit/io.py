@@ -232,7 +232,8 @@ def trace_boundary(h: GammaInner, samples: int) -> list[TraceRow]:
     # |s - conj(s) p| in real arithmetic rounds as Python's complex arithmetic does.
     twist = np.hypot(a - (a * c + b * d), b - (a * d - b * c))
     columns = (ts, a, b, c, d, x, theta, 2.0 - np.hypot(a, b), twist)
-    return list(map(TraceRow._make, zip(*(col.tolist() for col in columns))))
+    # The rows _make would build, without its length check, which nine columns cannot fail.
+    return list(map(tuple.__new__, itertools.repeat(TraceRow), zip(*(c.tolist() for c in columns))))
 
 
 def trace_to_csv(rows) -> str:

@@ -223,6 +223,7 @@ class _ClusterContext:
     """
 
     def __init__(self, f: Poly, eps_coeff: float = 0.0):
+        self.source = (f, eps_coeff)
         self.noise = 4.0 * max(f.degree, 1) * _EPS + eps_coeff
         self._derivs = [f.coeffs]
 
@@ -382,6 +383,10 @@ def _polish_cluster(
     return best
 
 
+class _Roots(tuple):
+    """Pairs from roots_with_multiplicity; ``context`` is the _ClusterContext that found them."""
+
+
 def roots_with_multiplicity(
     f: Poly, tol: ToleranceConfig = DEFAULT_TOL
 ) -> tuple[tuple[complex, int], ...]:
@@ -413,13 +418,14 @@ def roots_with_multiplicity(
     clustered = []
     if zeros_at_origin:
         clustered.append((0j, zeros_at_origin))
+    ctx = _ClusterContext(f, eps_coeff=tol.eps_trim)
     if len(cs) > 1:
-        ctx = _ClusterContext(f, eps_coeff=tol.eps_trim)
         companion = np.diag(np.ones(len(cs) - 2, dtype=complex), -1)
         companion[0, :] = -np.array(cs[-2::-1]) / cs[-1]
         clustered.extend(_cluster(np.linalg.eigvals(companion).tolist(), tol.eps_root, ctx))
-    clustered.sort(key=lambda item: (item[0].real, item[0].imag))
-    return tuple(clustered)
+    roots = _Roots(sorted(clustered, key=lambda item: (item[0].real, item[0].imag)))
+    roots.context = ctx
+    return roots
 
 
 def poly_from_roots(roots, lead: complex = 1.0) -> Poly:
@@ -455,7 +461,9 @@ def root_location_uncertainties(
     derivative, so its displacement under the rounding floor is the floor of
     that derivative divided by the m-th derivative's magnitude.
     """
-    ctx = _ClusterContext(f, eps_coeff=eps_coeff)
+    ctx = getattr(roots, "context", None)  # its derivatives serve the same f and eps_coeff
+    if ctx is None or ctx.source != (f, eps_coeff):
+        ctx = _ClusterContext(f, eps_coeff=eps_coeff)
     out = []
     for z, m in roots:
         dg = ctx.deriv(m)

@@ -24,6 +24,7 @@ from .polynomials import (
     _check_finite,
     _horner,
     _normalized,
+    _Roots,
     _schur_cohn_outer,
     is_n_symmetric,
     poly_from_roots,
@@ -298,10 +299,9 @@ def partition_circle_roots(roots, f: Poly, tol: ToleranceConfig):
     # A soft annulus is never wider than reach, so only roots within reach
     # of the circle need their location uncertainty.
     reach = max(tol.eps_circle, 1e-4)
-    near = [(z, m) for z, m in roots if abs(abs(z) - 1.0) <= reach]
-    errs = {}
-    if near:
-        errs = dict(zip(near, root_location_uncertainties(f, near, eps_coeff=tol.eps_trim)))
+    near = _Roots((z, m) for z, m in roots if abs(abs(z) - 1.0) <= reach)
+    near.context = getattr(roots, "context", None)  # the ladder roots_with_multiplicity built
+    errs = dict(zip(near, root_location_uncertainties(f, near, eps_coeff=tol.eps_trim)))
     candidates = []
     inside = []
     outside = []

@@ -1,5 +1,6 @@
 import cmath
 import dataclasses
+import decimal
 import itertools
 import json
 import math
@@ -252,11 +253,28 @@ def test_trace_csv_round_trips_any_float(rows):
                 assert struct.pack("<d", back) == struct.pack("<d", value)
 
 
+def _layout_cells():
+    """For each decimal point position p (value 0.DIGITS 10^p) from -3 to 16, where repr
+    writes fixed form, and six beyond (exponent form, 2- and 3-digit exponents), and each
+    count of 1 to 17 significant digits: a value of that layout, in both signs."""
+    rng = random.Random(20240214)
+    values = []
+    for point in [*range(-3, 17), -4, 17, -99, 100, -300, 300]:
+        for count in range(1, 18):
+            cell = None
+            while cell != (point, count):
+                value = float(f"0.{rng.randrange(10 ** (count - 1), 10 ** count)}e{point}")
+                text = decimal.Decimal(repr(value))
+                cell = (text.adjusted() + 1, len(text.normalize().as_tuple().digits))
+            values += [value, -value]
+    return values
+
+
 def test_trace_csv_matches_repr_at_scale():
     # The vectorized formatter against repr on random bit patterns (nan payloads and
     # subnormals included), every power of two, every power of ten of either sign,
-    # the smallest subnormals' multiples, the fixed/exponent layout switch points and
-    # the values around 2**53.
+    # the smallest subnormals' multiples, the fixed/exponent layout switch points, the
+    # values around 2**53 and every layout of repr (decimal point and digit count).
     bits = np.random.default_rng(20240214).integers(0, 2**64, 200_007, dtype=np.uint64)
     values = bits.view(np.float64).tolist()
     values += [math.ldexp(1.0, k) for k in range(-1074, 1024)]
@@ -265,6 +283,7 @@ def test_trace_csv_matches_repr_at_scale():
     values += [0.0001, 0.00011, 1e-05, 9999999999999998.0, 1e15, 1e16]
     values += [2.0**53 + 1, 2.0**53 - 1, 2.0**52 + 1, sys.float_info.max, sys.float_info.min]
     values += [math.nan, math.inf, -math.inf, 0.0, -0.0]
+    values += _layout_cells()
     values += [0.5] * (-len(values) % 9)
     rows = [TraceRow._make(values[i:i + 9]) for i in range(0, len(values), 9)]
     assert trace_to_csv(rows) == _reference_csv(rows)
