@@ -60,7 +60,16 @@ def _separated_disc_points(rng: random.Random, count: int, gap: float) -> list[c
 
 def random_spec(rng: random.Random, n_max: int = 10) -> SynthesisSpec:
     """A well-separated random prescription: mixed circle and interior nodes."""
-    n = rng.randint(1, n_max)
+    return random_spec_of_degree(rng, rng.randint(1, n_max))
+
+
+def random_spec_of_degree(rng: random.Random, n: int) -> SynthesisSpec:
+    """``random_spec``'s recipe at the fixed degree n.
+
+    Circle nodes and tau stay 0.1 apart, disc points 0.05 apart, with
+    moduli at most 0.85. A draw whose points cannot be placed raises
+    ``RuntimeError``; the rng then continues from where the draw stopped.
+    """
     k0 = rng.randint(0, n // 2)
     k1 = n - 2 * k0
     n_circle = rng.randint(0, n)
@@ -82,6 +91,24 @@ def random_spec(rng: random.Random, n_max: int = 10) -> SynthesisSpec:
         t=t,
         omega=random_unimodular(rng),
     )
+
+
+_SWEEPS: dict[int, tuple[random.Random, list]] = {}
+
+
+def degree_sweep(n: int, draws: int = 20) -> tuple[tuple[int, SynthesisSpec], ...]:
+    """The degree sweep at n: (index, spec) for the first ``draws`` draws of
+    ``random_spec_of_degree`` from ``random.Random(n)``, skipping draws that raise.
+
+    The draws are kept per n, so a later call only draws the ones it adds.
+    """
+    rng, found = _SWEEPS.setdefault(n, (random.Random(n), []))
+    while len(found) < draws:
+        try:
+            found.append((len(found), random_spec_of_degree(rng, n)))
+        except RuntimeError:
+            found.append((len(found), None))
+    return tuple((index, spec) for index, spec in found[:draws] if spec is not None)
 
 
 def circle_points(count: int):
