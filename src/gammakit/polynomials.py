@@ -393,8 +393,8 @@ def roots_with_multiplicity(
     """All roots of f with multiplicities, clustered and centroid-polished.
 
     Returns pairs (root, multiplicity) of built-in ``complex`` and ``int``,
-    sorted by (real, imag); the multiplicities sum to ``f.degree``. Zeros at
-    the origin are counted from the trailing coefficients. The other raw
+    sorted by (real, imag); the multiplicities sum to ``f.degree``. Only the
+    exactly zero low-order coefficients count as zeros at the origin. The raw
     roots are the eigenvalues of the companion matrix that ``np.roots`` builds,
     backward stable for the coefficients; ``_cluster`` then makes every
     multiplicity decision. Roots closer together than the accuracy
@@ -409,15 +409,10 @@ def roots_with_multiplicity(
     scale = f.max_coeff
     cs = [c / scale for c in f.coeffs]
 
-    zeros_at_origin = 0
-    while abs(cs[0]) <= tol.eps_trim:
-        zeros_at_origin += 1
-        cs = cs[1:]
-
-    # Origin roots are decided by the coefficient test, not by clustering.
-    clustered = []
-    if zeros_at_origin:
-        clustered.append((0j, zeros_at_origin))
+    # Origin roots are the exactly zero coefficients, not a clustering decision.
+    zeros_at_origin = next(k for k, c in enumerate(cs) if c != 0)
+    cs = cs[zeros_at_origin:]
+    clustered = [(0j, zeros_at_origin)] if zeros_at_origin else []
     ctx = _ClusterContext(f, eps_coeff=tol.eps_trim)
     if len(cs) > 1:
         companion = np.diag(np.ones(len(cs) - 2, dtype=complex), -1)

@@ -58,17 +58,16 @@ class RoyalProfile:
 def royal_polynomial(h: GammaInner) -> Poly:
     """R = lambda^n (4|D|^2 - |E|^2): coefficient k is a_{k-n} of ``h.gap``.
 
-    This is 4 D D~ - E^2 for n-symmetric E, and exactly self-inversive. Near
-    the royal variety the gap cancels catastrophically, so coefficients below
-    ``eps_trim`` times the larger autocorrelation peak (a constant term) are
-    snapped to zero; a fully vanishing R raises :class:`RoyalVariety`.
+    This is 4 D D~ - E^2 for n-symmetric E, and exactly self-inversive, kept
+    as computed: small coefficients may carry the disc zeros of a graded R.
+    :class:`RoyalVariety` is raised only when every coefficient is at most
+    ``eps_trim`` times the larger autocorrelation peak (a constant term).
     """
     scale = max(4.0 * h.d_power.coeff(0).real, sum(abs(c) ** 2 for c in h.E.coeffs))
     raw = [0j] * (h.n - h.gap.n) + list(h.gap.coeffs)
-    r = Poly([0j if abs(c) <= h.tol.eps_trim * scale else c for c in raw])
-    if r.is_zero():
+    if all(abs(c) <= h.tol.eps_trim * scale for c in raw):
         raise RoyalVariety("the royal polynomial vanishes identically")
-    return r
+    return Poly(raw)
 
 
 def is_n_balanced(r: Poly, n: int, tol: ToleranceConfig = DEFAULT_TOL) -> bool:

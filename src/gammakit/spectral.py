@@ -354,8 +354,9 @@ def fejer_riesz(f: TrigPoly, tol: ToleranceConfig = DEFAULT_TOL) -> Poly:
     """Outer spectral factor D of a nonnegative trigonometric polynomial.
 
     Returns D with no roots inside the unit disc, |D|^2 = f on the circle and
-    D(0) > 0. If f's relative circle minimum exceeds ``_ROOT_FREE_DEPTH``, D
-    is ``_newton_factor`` from the cepstral start on a power-of-two grid of at
+    D(0) > 0; deg D is f's top frequency with a nonzero coefficient, however
+    small. If f's relative circle minimum exceeds ``_ROOT_FREE_DEPTH``, D is
+    ``_newton_factor`` from the cepstral start on a power-of-two grid of at
     least 16 (2n + 2) angles, if its residual is at most 64 eps (n + 1) and
     Schur-Cohn finds no zero in the closed disc; the grid doubles up to three
     times. Otherwise D takes the outside root of each pair (zeta,
@@ -374,7 +375,7 @@ def fejer_riesz(f: TrigPoly, tol: ToleranceConfig = DEFAULT_TOL) -> Poly:
 
     half = [c / scale for c in f.coeffs[f.n :]]
     top = len(half) - 1
-    while top > 0 and abs(half[top]) <= tol.eps_trim:
+    while top > 0 and half[top] == 0:
         top -= 1
     g = TrigPoly.from_half_spectrum(half[: top + 1])
 

@@ -9,16 +9,17 @@ from dataclasses import dataclass, replace
 class ToleranceConfig:
     """Thresholds that turn exact polynomial identities into floating checks.
 
-    eps_trim : relative coefficient truncation threshold
+    eps_trim : relative coefficient noise level (see below)
     eps_root : root residual target, also drives multiplicity clustering
     eps_circle : half-width of the annulus classed as "on the unit circle"
     eps_residual : tolerance for verifying polynomial identities
     circle_samples : default sampling density on the unit circle
 
-    ``eps_trim`` reaches the royal polynomial, root finding, the spectral
-    factor and the pole test of ``eval_h``, but not ``Poly`` construction:
-    every ``Poly`` trims coefficients below 1e-12 times its largest one,
-    whatever the configuration says (ROADMAP defect D).
+    ``eps_trim`` acts only in ``royal_polynomial``'s :class:`RoyalVariety`
+    test, the root clusterer's coefficient noise, the location uncertainty of
+    circle roots and ``eval_h``'s pole test; it zeroes no coefficient. Nor
+    does it reach ``Poly`` construction: every ``Poly`` trims trailing
+    coefficients below 1e-12 times its largest one (ROADMAP defect D).
     """
 
     eps_trim: float = 1e-12

@@ -28,11 +28,6 @@ def _circle_count(spec) -> int:
     return sum(abs(abs(sigma) - 1.0) <= 1e-12 for sigma in spec.sigmas)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="known defect (ROADMAP item 11): relative-to-peak zero tests on the royal "
-    "polynomial's coefficients erase its small disc zeros",
-)
 def test_rounded_true_map_at_degree_32_recovers_every_sigma():
     """Draw 1 of ``degree_sweep(32)``, synthesized exactly and rounded to doubles.
 
@@ -79,6 +74,14 @@ def test_rounded_true_map_at_degree_32_recovers_every_sigma():
     assert spec == degree_sweep(32, 2)[1][1]
     assert royal_profile(h).type_pair == (32, _circle_count(spec))
     assert same_multiset(recover_spec(h).sigmas, spec.sigmas, 1e-6)
+
+
+@pytest.mark.parametrize("n, draw", [(32, 10), (32, 18), (48, 8)])
+def test_high_degree_sweep_draw_raises_instead_of_missing_sigma(n, draw):
+    # Each once returned the spec's type, with a spec sigma 0.27 to 0.37 from every found one.
+    spec = dict(degree_sweep(n, draw + 1))[draw]
+    with pytest.raises(GammaKitError):
+        recover_spec(synthesize(spec))
 
 
 @pytest.mark.xfail(

@@ -94,6 +94,20 @@ def test_roots_simple_and_double():
     assert m == 2 and abs(z + 1) < 1e-10
 
 
+def test_small_simple_root_is_not_a_zero_at_the_origin():
+    # Only an exactly zero coefficient counts as a root at 0; 1e-13 is a genuine root.
+    roots = roots_with_multiplicity(poly_from_roots([(1e-13, 1), (0.5, 1), (2.0, 1)]))
+    assert [m for _, m in roots] == [1, 1, 1]
+    assert abs(roots[0][0] - 1e-13) < 1e-15
+    assert roots_with_multiplicity(Poly([0, 0, 1, 2])) == ((-0.5 + 0j, 1), (0j, 2))
+
+
+def test_small_double_root_stays_one_pair():
+    roots = roots_with_multiplicity(poly_from_roots([(1e-7, 2), (0.5, 1), (2.0, 1)]))
+    assert [m for _, m in roots] == [2, 1, 1]
+    assert abs(roots[0][0] - 1e-7) < 1e-12
+
+
 def test_roots_zero_polynomial_raises():
     with pytest.raises(ZeroPolynomial):
         roots_with_multiplicity(Poly())

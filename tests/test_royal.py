@@ -47,7 +47,7 @@ def test_royal_polynomial_variety_branch():
     squared = from_inner_pair((Poly([0, 1]), Poly([1]), 1), (Poly([0, 1]), Poly([1]), 1))
     with pytest.raises(RoyalVariety):
         royal_polynomial(squared)
-    # (2m, m^2) for a Moebius m: R vanishes only up to rounding, which the eps_trim snap clears
+    # (2m, m^2) for a Moebius m: R is only rounding, each coefficient at most eps_trim x peak
     a = 0.3 + 0.2j
     mobius = (Poly([-a, 1]), Poly([1, -a.conjugate()]), 1)
     with pytest.raises(RoyalVariety):
