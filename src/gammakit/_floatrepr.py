@@ -85,7 +85,8 @@ def _render(values, width):
     d, point = _shortest(values.view(_U) & _LOW63)
     d *= regular  # 0.0, nan and inf are laid out as the digit 0 at 10^0
     point *= regular
-    n = np.maximum(np.searchsorted(_POW10, d, side="right"), 1)
+    t = np.frexp(d.astype(float))[1] * 1233 >> 12  # (floor(log2 d) + 1) log10(2), floored
+    n = np.maximum(t + (d >= _POW10.take(t)), 1)  # t is d's digit count or one less
     point += n  # value = 0.DIGITS 10^point
     d *= _POW10.take(17 - n)  # the digits, left-aligned to 17 places
     hi = (d // _U(10**8)).astype(np.uint32)  # d < 10**17, so hi < 10**9: uint32 from here on

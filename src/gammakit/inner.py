@@ -18,10 +18,10 @@ import numpy as np
 from .errors import BadParameter, ConditionFailed, NotInner, PoleOnDomain
 from .polynomials import (
     Poly,
+    _roots,
     _schur_cohn_outer,
     conj_reciprocal,
     is_n_symmetric,
-    roots_with_multiplicity,
 )
 from .spectral import TrigPoly, circle_extrema, to_trig_modulus_squared
 from .tolerances import DEFAULT_TOL, ToleranceConfig
@@ -118,7 +118,7 @@ def validate(
         if zero is not None:
             d_failure = f"D has a zero of modulus {abs(zero):.9g} on the closed disc"
     elif d.degree > 0:
-        for z, m in roots_with_multiplicity(d, tol):
+        for z, m in _roots(d, tol, keep="disc"):
             r = abs(z)
             if r < 1.0 - tol.eps_circle:
                 d_failure = f"D has a zero of modulus {r:.9g} in the open disc"
@@ -177,7 +177,7 @@ def _closed_disc_zero(p: Poly, tol: ToleranceConfig) -> complex | None:
     rho = 1.0 + tol.eps_circle
     if _schur_cohn_outer([c * rho**k for k, c in enumerate(p.coeffs)]):
         return None  # also for constants, zero included
-    return next((z for z, _ in roots_with_multiplicity(p, tol) if abs(z) < rho), None)
+    return next((z for z, _ in _roots(p, tol, keep="disc") if abs(z) < rho), None)
 
 
 def eval_h(h: GammaInner, lam: complex) -> tuple[complex, complex]:

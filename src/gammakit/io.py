@@ -244,5 +244,11 @@ def trace_to_csv(rows) -> str:
     width = len(TraceRow._fields)
     if not {width}.issuperset(map(len, rows)):
         raise TypeError(f"every trace row needs {width} fields")
-    values = np.fromiter(map(float, itertools.chain.from_iterable(rows)), float, width * len(rows))
+    fields, count = itertools.chain.from_iterable, width * len(rows)
+    try:  # numpy converts as float() does, but reads None as nan: float() decides on any nan
+        values = np.fromiter(fields(rows), float, count)
+    except Exception:  # float() raises its own error below, or converts what numpy would not
+        values = None
+    if values is None or np.isnan(values).any():
+        values = np.fromiter(map(float, fields(rows)), float, count)
     return "".join([TRACE_HEADER + "\n", *repr_blocks(values, width)])

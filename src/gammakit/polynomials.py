@@ -182,6 +182,7 @@ def l_factor(tau: complex, tol: ToleranceConfig = DEFAULT_TOL) -> Poly:
 
 
 _CLUSTER_CAP = 1e-2
+_CIRCLE_REACH = 1e-4  # partition_circle_roots' soft annulus is never wider than this or eps_circle
 
 
 def _components(count, linked):
@@ -276,17 +277,17 @@ class _ClusterContext:
         return True
 
 
-def _cluster(roots, eps_root, ctx: _ClusterContext):
+def _cluster(roots, eps_root, ctx: _ClusterContext, unpolished=frozenset()):
     """Cluster raw roots into polished (root, multiplicity) pairs.
 
     Every linkage radius of the hypothesis walk is capped at
     ``_CLUSTER_CAP``, so no group it forms can straddle two components of
     the single-linkage graph at the cap. Each component is therefore walked
     on its own, and an isolated root, the generic case, is polished as a
-    simple root without any hypothesis test. A sweep over the sorted roots
-    finds the linked ones, as a partner within the cap is within it in real
-    part. Components keep their members in sorted (real, imag) order, which
-    fixes the order of every centroid sum.
+    simple root without any hypothesis test, or kept raw if in ``unpolished``.
+    A sweep over the sorted roots finds the linked ones, as a partner within
+    the cap is within it in real part. Components keep their members in
+    sorted (real, imag) order, which fixes the order of every centroid sum.
     """
     ordered = sorted(roots, key=lambda w: (w.real, w.imag))
     linked = set()
@@ -297,7 +298,8 @@ def _cluster(roots, eps_root, ctx: _ClusterContext):
             if abs(ordered[j] - z) <= _CLUSTER_CAP:
                 linked.update((i, j))
     near = [ordered[i] for i in sorted(linked)]
-    accepted = [(_polish_cluster(ctx, z, 1, 0.0, eps_root), 1) for z in ordered if z not in near]
+    accepted = [(z, 1) if z in unpolished else (_polish_cluster(ctx, z, 1, 0.0, eps_root), 1)
+                for z in ordered if z not in near]
     for part in _components(len(near), lambda a, b: abs(near[a] - near[b]) <= _CLUSTER_CAP):
         accepted.extend(_cluster_component([near[a] for a in sorted(part)], eps_root, ctx))
     return accepted
@@ -399,7 +401,18 @@ def roots_with_multiplicity(
     backward stable for the coefficients; ``_cluster`` then makes every
     multiplicity decision. Roots closer together than the accuracy
     attainable for their combined multiplicity are reported as one root at
-    the polished cluster centroid.
+    the polished cluster centroid. Internal callers that keep one side of the
+    circle call ``_roots``, which leaves some roots on the other side raw.
+    """
+    return _roots(f, tol)
+
+
+def _roots(f: Poly, tol: ToleranceConfig, keep: str | None = None):
+    """``roots_with_multiplicity`` for a caller that keeps the closed "disc" or the "outside".
+
+    An isolated root farther on the other side than ``partition_circle_roots``' reach plus
+    the leash (1 + |z|) that bounds a simple root's polish stays its raw eigenvalue: the
+    polish could not bring it to the kept side. All else is bit for bit the same.
     """
     if f.is_zero():
         raise ZeroPolynomial("cannot extract roots of the zero polynomial")
@@ -417,7 +430,12 @@ def roots_with_multiplicity(
     if len(cs) > 1:
         companion = np.diag(np.ones(len(cs) - 2, dtype=complex), -1)
         companion[0, :] = -np.array(cs[-2::-1]) / cs[-1]
-        clustered.extend(_cluster(np.linalg.eigvals(companion).tolist(), tol.eps_root, ctx))
+        raw = np.linalg.eigvals(companion).tolist()
+        side = {None: 0.0, "disc": 1.0, "outside": -1.0}[keep]
+        reach = max(tol.eps_circle, _CIRCLE_REACH)
+        leash = 4.0 * min(tol.eps_root, _CLUSTER_CAP) + 1e-12  # _polish_cluster's, m = 1
+        far = {z for z in raw if side * (abs(z) - 1.0) > reach + leash * (1.0 + abs(z))}
+        clustered.extend(_cluster(raw, tol.eps_root, ctx, far))
     roots = _Roots(sorted(clustered, key=lambda item: (item[0].real, item[0].imag)))
     roots.context = ctx
     return roots

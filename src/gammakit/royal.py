@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import OddCircleZero, OrderOverflow, RoyalVariety
 from .inner import GammaInner, _h_values
-from .polynomials import Poly, is_n_symmetric, roots_with_multiplicity
+from .polynomials import Poly, _roots, is_n_symmetric
 from .spectral import circle_extrema, partition_circle_roots, to_trig_shifted
 from .tolerances import DEFAULT_TOL, ToleranceConfig
 
@@ -98,7 +98,7 @@ def royal_profile(h: GammaInner, tol: ToleranceConfig | None = None) -> RoyalPro
         return h._royal_profile
     tol = tol or h.tol
     r = h.royal
-    roots = roots_with_multiplicity(r, tol)
+    roots = _roots(r, tol, keep="disc")
     try:
         circle_raw, inside, _ = partition_circle_roots(roots, r, tol)
     except OddCircleZero as exc:

@@ -19,17 +19,18 @@ import numpy as np
 
 from .errors import GammaKitError, NotBalanced, NotNonnegative, OddCircleZero, ZeroPolynomial
 from .polynomials import (
+    _CIRCLE_REACH,
     _EPS,
     Poly,
     _check_finite,
     _horner,
     _normalized,
+    _roots,
     _Roots,
     _schur_cohn_outer,
     is_n_symmetric,
     poly_from_roots,
     root_location_uncertainties,
-    roots_with_multiplicity,
 )
 from .tolerances import DEFAULT_TOL, ToleranceConfig
 
@@ -155,16 +156,12 @@ def to_trig_shifted(p: Poly, n: int, tol: ToleranceConfig = DEFAULT_TOL) -> Trig
 
 
 def _grid_values(f: TrigPoly, size: int) -> np.ndarray:
-    """f at the angles 2 pi m / size, m = 0 .. size - 1, from one inverse FFT.
+    """f at the angles 2 pi m / size, m = 0 .. size - 1, from one real inverse FFT.
 
-    The grid carries no aliasing once size >= 2n + 1, so the values are
-    exact up to rounding.
+    It reads a_0 .. a_n only, as ``_on_circle`` does. The grid carries no
+    aliasing once size >= 2n + 1, so the values are exact up to rounding.
     """
-    spectrum = np.zeros(size, dtype=complex)
-    spectrum[: f.n + 1] = f.coeffs[f.n :]
-    if f.n:
-        spectrum[size - f.n :] = f.coeffs[: f.n]
-    return np.fft.ifft(spectrum, norm="forward").real
+    return np.fft.irfft(f.coeffs[f.n :], size, norm="forward")
 
 
 def _extrema_grid_size(n: int, samples: int) -> int:
@@ -229,9 +226,12 @@ def _refine_minimum(f: TrigPoly, grid_values) -> tuple[float, float]:
 def _cepstral_factor(f: TrigPoly, degree: int, size: int) -> np.ndarray:
     """Newton's start d_0 .. d_degree: exp of the analytic half of log f on ``size`` angles.
 
-    D(0) > 0, but the series aliases: on too small a grid D need not even be outer.
+    D(0) > 0, but the series aliases: on too small a grid D need not even be outer. f's
+    values take a complex transform, not ``_grid_values``' real one: D's bits depend on it.
     """
-    values = np.maximum(_grid_values(f, size), 1e-300)  # f may dip below its estimated minimum
+    spectrum = np.zeros(size, dtype=complex)
+    spectrum[np.arange(-f.n, f.n + 1)] = f.coeffs  # negative frequencies wrap to the end
+    values = np.maximum(np.fft.ifft(spectrum, norm="forward").real, 1e-300)  # f may dip below 0
     cepstrum = np.fft.fft(np.log(values)) / size
     cepstrum[0] *= 0.5
     cepstrum[size // 2 :] = 0.0
@@ -298,7 +298,7 @@ def partition_circle_roots(roots, f: Poly, tol: ToleranceConfig):
     """
     # A soft annulus is never wider than reach, so only roots within reach
     # of the circle need their location uncertainty.
-    reach = max(tol.eps_circle, 1e-4)
+    reach = max(tol.eps_circle, _CIRCLE_REACH)
     near = _Roots((z, m) for z, m in roots if abs(abs(z) - 1.0) <= reach)
     near.context = getattr(roots, "context", None)  # the ladder roots_with_multiplicity built
     errs = dict(zip(near, root_location_uncertainties(f, near, eps_coeff=tol.eps_trim)))
@@ -310,7 +310,7 @@ def partition_circle_roots(roots, f: Poly, tol: ToleranceConfig):
         gap = abs(radius - 1.0)
         if radius == 0.0:
             inside.append((z, m))
-        elif gap <= reach and gap <= max(tol.eps_circle, min(8.0 * errs[z, m], 1e-4)):
+        elif gap <= reach and gap <= max(tol.eps_circle, min(8.0 * errs[z, m], _CIRCLE_REACH)):
             candidates.append((z / radius, m, z, gap <= tol.eps_circle))
         elif radius > 1.0:
             outside.append((z, m))
@@ -392,7 +392,7 @@ def fejer_riesz(f: TrigPoly, tol: ToleranceConfig = DEFAULT_TOL) -> Poly:
         size *= 2
     else:  # no root-free factor accepted, or none tried
         analytic = Poly(g.coeffs)
-        roots = roots_with_multiplicity(analytic, tol)
+        roots = _roots(analytic, tol, keep="outside")
         on_circle, _, outside = partition_circle_roots(roots, analytic, tol)
         selected = outside + [(z, m // 2) for z, m in on_circle]
         count = sum(m for _, m in selected)

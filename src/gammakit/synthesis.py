@@ -28,17 +28,16 @@ from .polynomials import (
     Poly,
     _convolve,
     _normalized,
+    _roots,
     l_factor,
     poly_from_roots,
     q_factor,
-    roots_with_multiplicity,
 )
 from .royal import royal_profile
 from .spectral import (
     TrigPoly,
     _correlation,
     _extrema_grid_size,
-    _grid_values,
     _refine_minimum,
     fejer_riesz,
     to_trig_modulus_squared,
@@ -169,7 +168,7 @@ def recover_spec(h: GammaInner, tol: ToleranceConfig | None = None) -> Synthesis
 
     alphas = []
     taus = []
-    for z, m in roots_with_multiplicity(h.E, tol):
+    for z, m in _roots(h.E, tol, keep="disc"):
         radius = abs(z)
         if abs(radius - 1.0) <= tol.eps_circle:
             taus.extend([z / radius] * m)
@@ -238,7 +237,7 @@ def witness_non_extreme(
     """A strict convex decomposition h = (h+ + h-) / 2 when 2k <= n.
 
     h+- = (E +- t g) / D for the direction g of ``_perturbation_direction``.
-    The perturbation size t starts at 1 and halves until the circle minimum
+    The perturbation size t halves from ``_first_step`` until the circle minimum
     of 4 |D|^2 - |E +- t g|^2 is nonnegative for both signs, up to the
     slack 0.5 eps_residual (1 + max coefficient); a small enough t always
     succeeds when 2k <= n. Raises ``ExtremeNoWitness`` when 2k > n, in which
@@ -246,11 +245,11 @@ def witness_non_extreme(
 
     For real u the gap is the quadratic pencil G0 - u X - u^2 Q with
     G0 = 4|D|^2 - |E|^2 (``h.gap``), X = E conj(g) + g conj(E) and
-    Q = |g|^2. Their coefficients and their values on ``circle_extrema``'s
-    grid are computed once per call, and each trial u = +-t tests the
-    weighted sum of those grids: it fails when the grid minimum is below
-    the slack and otherwise refines it as ``circle_extrema`` does. That is
-    an estimate of the minimum, not a certified bound (ROADMAP defect C).
+    Q = |g|^2. Their half spectra and their values on ``circle_extrema``'s grid
+    (one batched real inverse FFT) are computed once per call, and each trial
+    u = +-t is ``_admissible``, an estimate, not a certified bound (ROADMAP
+    defect C). The start skips only sizes that the grid test rejects, so t is
+    the one a halving from 1 returns; no t below 2^-59 is tried.
     h+ and h- are then validated by ``_with_numerator``, which shares D,
     tol and strict with h and checks the conditions involving E, (iv)
     included, on E +- t g itself.
@@ -267,18 +266,19 @@ def witness_non_extreme(
         circle_taus.extend([node.location] * node.multiplicity)
     g = _perturbation_direction(h, circle_taus)
 
-    forward = _correlation(h.E.coeffs, g.coeffs)
-    backward = _correlation(g.coeffs, h.E.coeffs)
-    cross = np.zeros(max(len(forward), len(backward), 1), dtype=complex)
-    cross[: len(forward)] += forward
-    cross[: len(backward)] += backward
+    cross = np.zeros(max(len(h.E.coeffs), len(g.coeffs), 1), dtype=complex)
+    for a, b in ((h.E.coeffs, g.coeffs), (g.coeffs, h.E.coeffs)):
+        cross[: len(a)] += _correlation(a, b)
     pencil = (h.gap, TrigPoly.from_half_spectrum(cross), to_trig_modulus_squared(g))
-    size = _extrema_grid_size(max(f.n for f in pencil), tol.circle_samples)
-    grids = [_grid_values(f, size) for f in pencil]
+    n = max(f.n for f in pencil)
+    halves = np.array([f.coeffs[f.n :] + (0j,) * (n - f.n) for f in pencil])
+    size = _extrema_grid_size(n, tol.circle_samples)
+    grids = np.fft.irfft(halves, size, norm="forward")
+    slack = 0.5 * tol.eps_residual * (1.0 + sum(f.max_coeff for f in pencil))
 
-    t_step = 1.0
-    for _ in range(60):
-        if all(_admissible(pencil, grids, u, tol) for u in (t_step, -t_step)):
+    t_step = _first_step(grids, slack)
+    while t_step >= 2.0**-59:  # the 60th size of a halving from 1
+        if all(_admissible(halves, grids, u, tol) for u in (t_step, -t_step)):
             break
         t_step *= 0.5
     else:
@@ -288,15 +288,30 @@ def witness_non_extreme(
     return t_step, h_plus, h_minus
 
 
-def _admissible(pencil, grids, u: float, tol: ToleranceConfig) -> bool:
-    """Whether the pencil's circle minimum at u clears -0.5 eps_residual (1 + max coefficient)."""
-    weights = (1.0, -u, -u * u)
-    gap = TrigPoly.lincomb(list(zip(weights, pencil)))
-    floor = -0.5 * tol.eps_residual * (1.0 + gap.max_coeff)
+def _first_step(grids, slack: float) -> float:
+    """2^(1 + ceil(log2 u*)) within [2^-59, 1]; 1 when u* is not in (0, 1), NaN included.
+
+    u* = min 2 (G0 + s) / (|X| + sqrt(X^2 + 4 Q (G0 + s))) on the grid is the largest |u|
+    with G0 - |u| |X| - u^2 Q >= -s there. s bounds every trial's floor for |u| <= 1, so
+    each larger size fails the grid test; the factor 2 absorbs rounding."""
+    g0, x, q = grids[0] + slack, grids[1], grids[2]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        radius = float((2.0 * g0 / (np.abs(x) + np.sqrt(x * x + 4.0 * q * g0))).min())
+    if 0.0 < radius < 1.0:
+        return 2.0 ** max(min(1 + math.ceil(math.log2(radius)), 0), -59)
+    return 1.0
+
+
+def _admissible(halves, grids, u: float, tol: ToleranceConfig) -> bool:
+    """Whether the pencil's circle minimum at u clears -0.5 eps_residual (1 + max coefficient).
+
+    Sums in ``TrigPoly.lincomb``'s order; builds the TrigPoly only to refine a passing grid."""
+    half = halves[0] + (-u) * halves[1] + (-u * u) * halves[2]
+    floor = -0.5 * tol.eps_residual * (1.0 + float(np.abs(half).max()))
     values = grids[0] - u * grids[1] - (u * u) * grids[2]
     if float(values.min()) < floor:
         return False
-    min_val, _ = _refine_minimum(gap, values)
+    min_val, _ = _refine_minimum(TrigPoly.from_half_spectrum(half), values)
     return not min_val < floor
 
 

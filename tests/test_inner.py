@@ -49,9 +49,7 @@ def test_validate_rejects_disc_zero_denominator():
 
 def test_validate_strict_map_solves_no_roots(monkeypatch):
     h = h_nu(2, 0.9)
-    solves = count_calls(
-        monkeypatch, "roots_with_multiplicity", gammakit.polynomials.roots_with_multiplicity
-    )
+    solves = count_calls(monkeypatch, "_roots", gammakit.polynomials._roots)
     assert validate(h.E, h.D, h.n) == h
     assert not solves
 

@@ -1,6 +1,7 @@
 import cmath
 import dataclasses
 import decimal
+import fractions
 import itertools
 import json
 import math
@@ -304,6 +305,23 @@ def test_trace_csv_writes_fields_as_floats():
         trace_to_csv([("x",) + (0.5,) * 8])
     with pytest.raises(TypeError):
         trace_to_csv([(None,) + (0.5,) * 8])
+
+
+def test_trace_csv_converts_every_field_as_float_does():
+    # numpy reads the fields in one pass but turns None into nan; float() must still decide.
+    fields = ["1.5", " -2.25e-3\n", decimal.Decimal("0.1"), fractions.Fraction(1, 3),
+              np.float32(0.1), True, False, 7, -(2**64) - 1, np.int64(-3), "-inf", math.inf]
+    rows = [tuple(fields[:9]), tuple(fields[9:]) + (0.5,) * 6]
+    expected = "".join(",".join(repr(float(f)) for f in row) + "\n" for row in rows)
+    assert trace_to_csv(rows) == TRACE_HEADER + "\n" + expected
+    with_nan = TRACE_HEADER + "\n" + expected + ",".join(["nan"] * 9) + "\n"
+    assert trace_to_csv(rows + [("nan",) * 9]) == with_nan
+    for bad in (None, [1.0]):
+        for at in (0, 8):
+            row = [0.25] * 9
+            row[at] = bad
+            with pytest.raises(TypeError):
+                trace_to_csv([(0.5,) * 9, tuple(row)])
 
 
 def _near_pole_map():

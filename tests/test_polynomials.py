@@ -1,10 +1,11 @@
 import cmath
+import functools
 import math
 import random
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from gammakit import (
     DEFAULT_TOL,
@@ -21,12 +22,16 @@ from gammakit import (
     poly_from_roots,
     q_factor,
     roots_with_multiplicity,
+    synthesize,
 )
 import gammakit.polynomials
-from gammakit.polynomials import _CLUSTER_CAP, _ClusterContext, _components, _horner, _normalized
+from gammakit.polynomials import (
+    _CLUSTER_CAP, _ClusterContext, _components, _horner, _normalized, _roots,
+)
 
 from helpers import (
-    BITWISE, COEFFS, circle_points, count_calls, random_poly, same_bits, same_multiset,
+    BITWISE, COEFFS, circle_points, count_calls, random_poly, random_spec, same_bits,
+    same_multiset,
 )
 
 
@@ -179,9 +184,9 @@ def test_root_layer_matches_np_roots_and_pairwise_clustering(monkeypatch):
     raw = []
     cluster = gammakit.polynomials._cluster
 
-    def recorded(roots, eps_root, ctx):
+    def recorded(roots, eps_root, ctx, unpolished=frozenset()):
         raw.append(roots)
-        return cluster(roots, eps_root, ctx)
+        return cluster(roots, eps_root, ctx, unpolished)
 
     monkeypatch.setattr(gammakit.polynomials, "_cluster", recorded)
     rng = random.Random(29)
@@ -215,6 +220,47 @@ def test_simple_root_polish_stops_at_convergence(monkeypatch):
     for p, roots in zip(cases, found):
         for z, _ in roots:
             assert abs(p(z)) <= 1e-10 * sum(abs(c) * abs(z) ** k for k, c in enumerate(p.coeffs))
+
+
+@functools.cache
+def _pool_polys():
+    """R and E of the first 12 maps synthesized from random_spec(Random(20240214))."""
+    rng = random.Random(20240214)
+    maps = [synthesize(random_spec(rng)) for _ in range(12)]
+    return [f for h in maps for f in (h.royal, h.E)]
+
+
+_LAYOUTS = st.lists(
+    st.tuples(st.complex_numbers(max_magnitude=3.0), st.integers(1, 3)), min_size=1, max_size=8
+)
+
+
+@BITWISE
+@given(
+    st.lists(COEFFS, min_size=2, max_size=12).map(Poly)
+    | _LAYOUTS.map(poly_from_roots)
+    | st.integers(0, 23).map(lambda i: _pool_polys()[i]),
+    st.sampled_from([DEFAULT_TOL, DEFAULT_TOL.with_overrides(eps_circle=1e-3, eps_root=1e-6)]),
+)
+def test_one_sided_roots_keep_their_side_bit_for_bit(f, tol):
+    # A caller keeping one side gets that side's pairs bit for bit and in order; an
+    # isolated root far out on the other side is its raw eigenvalue, every other root as is.
+    assume(f.degree >= 1)
+    full = roots_with_multiplicity(f, tol)
+    raw = np.roots([c / f.max_coeff for c in reversed(f.coeffs)]).tolist()
+    reach = max(tol.eps_circle, 1e-4)
+    leash = 4.0 * min(tol.eps_root, _CLUSTER_CAP) + 1e-12
+    for keep, side in (("disc", 1.0), ("outside", -1.0)):
+        found = _roots(f, tol, keep)
+        kept = [(z, m) for z, m in found if side * (abs(z) - 1.0) <= reach]
+        assert repr(kept) == repr([(z, m) for z, m in full if side * (abs(z) - 1.0) <= reach])
+        assert sorted(m for _, m in found) == sorted(m for _, m in full)
+        for z, m in (p for p in found if side * (abs(p[0]) - 1.0) > reach):
+            isolated = m == 1 and sum(abs(w - z) <= _CLUSTER_CAP for w in raw) == 1
+            if isolated and side * (abs(z) - 1.0) > reach + leash * (1.0 + abs(z)):
+                assert any(same_bits(z, w) for w in raw)
+            else:
+                assert repr((z, m)) in map(repr, full)
 
 
 def test_nonfinite_coefficients_rejected():

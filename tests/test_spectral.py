@@ -29,7 +29,7 @@ from gammakit import (
 )
 import gammakit.polynomials
 from gammakit.inner import circle_gap
-from gammakit.spectral import _correlation, partition_circle_roots
+from gammakit.spectral import _correlation, _grid_values, partition_circle_roots
 from gammakit.synthesis import build_re
 
 from helpers import BITWISE, COEFFS, count_calls, random_poly, random_spec, same_bits
@@ -218,9 +218,7 @@ def test_fejer_riesz_double_circle_zero(monkeypatch):
     # |(lambda - 1)|^2 style input: zero of order 2 at 1 on the circle
     e = Poly([-1, 1]) * Poly([0.5, 1])
     f = to_trig_modulus_squared(e)
-    solves = count_calls(
-        monkeypatch, "roots_with_multiplicity", gammakit.polynomials.roots_with_multiplicity
-    )
+    solves = count_calls(monkeypatch, "_roots", gammakit.polynomials._roots)
     d = fejer_riesz(f)
     monkeypatch.undo()
     assert len(solves) == 1  # the root pairing; the symbol has no positive depth
@@ -233,9 +231,7 @@ def test_fejer_riesz_double_circle_zero(monkeypatch):
 def test_fejer_riesz_strictly_positive_symbol_solves_no_roots(monkeypatch):
     f = to_trig_modulus_squared(random_poly(random.Random(1), 7))
     assert circle_extrema(f, 1024)[0] > 1e-4 * f.max_coeff  # far above the root-free depth
-    solves = count_calls(
-        monkeypatch, "roots_with_multiplicity", gammakit.polynomials.roots_with_multiplicity
-    )
+    solves = count_calls(monkeypatch, "_roots", gammakit.polynomials._roots)
     d = fejer_riesz(f)
     monkeypatch.undo()
     assert not solves
@@ -435,3 +431,24 @@ def test_trig_constructors_still_reject_bad_input(half, data):
     half[k] = complex(bad, half[k].imag)
     with pytest.raises(BadParameter, match="trigonometric polynomial coefficients must be finite"):
         TrigPoly.from_half_spectrum(half)
+
+
+@BITWISE
+@given(
+    st.lists(COEFFS, max_size=9),
+    st.lists(COEFFS, max_size=9),
+    st.sampled_from(["2n+1", "4n", "300", "1024"]),
+)
+def test_grid_values_match_pointwise_values(half, skew, rule):
+    # skew moves a_{-n} .. a_0 within the constructor's Hermitian tolerance 1e-12 (1 + max);
+    # the real transform, like _on_circle, reads a_0 .. a_n only (and Re a_0).
+    f = TrigPoly.from_half_spectrum(half)
+    coeffs = list(f.coeffs)
+    for k, d in enumerate(skew[: f.n + 1]):
+        coeffs[k] += 1.2e-13 * (1.0 + f.max_coeff) * d
+    f = TrigPoly(tuple(coeffs), f.n)
+    size = {"2n+1": 2 * f.n + 1, "4n": max(4 * f.n, 1)}.get(rule) or int(rule)
+    found = _grid_values(f, size)
+    expected = f.values(2.0 * math.pi * np.arange(size) / size)
+    assert found.shape == expected.shape == (size,)
+    assert np.abs(found - expected).max() <= 1e-14 * (1.0 + sum(map(abs, f.coeffs)))

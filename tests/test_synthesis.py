@@ -293,9 +293,7 @@ def test_witness_checks_shared_denominator_once(monkeypatch):
     powers = count_calls(
         monkeypatch, "to_trig_modulus_squared", gammakit.spectral.to_trig_modulus_squared
     )
-    roots = count_calls(
-        monkeypatch, "roots_with_multiplicity", gammakit.polynomials.roots_with_multiplicity
-    )
+    roots = count_calls(monkeypatch, "_roots", gammakit.polynomials._roots)
     _, h_plus, h_minus = witness_non_extreme(h)
     # Trials run on the pencil of h's cached gap; only the (iv) checks of h+- remain,
     # and those reuse h's |D|^2.
@@ -374,9 +372,7 @@ def test_convex_combine_checks_shared_denominator_once(monkeypatch, strict):
     if strict:
         h = synthesize(_spec(alphas=[0.4], taus=[1j], sigmas=[-1, 0.2, 0.3j], t_plus=1.2))
     _, h_plus, h_minus = witness_non_extreme(h)
-    roots = count_calls(
-        monkeypatch, "roots_with_multiplicity", gammakit.polynomials.roots_with_multiplicity
-    )
+    roots = count_calls(monkeypatch, "_roots", gammakit.polynomials._roots)
     mid = convex_combine(h_plus, h_minus, 0.5)
     assert not roots
     monkeypatch.undo()

@@ -11,6 +11,7 @@ d_circle_zeros), or raise the same error.
 import dataclasses
 import random
 
+import numpy as np
 import pytest
 
 from gammakit import (
@@ -26,10 +27,11 @@ from gammakit import (
 from gammakit.inner import circle_gap
 from gammakit.royal import royal_profile
 from gammakit.spectral import circle_extrema
-from gammakit.synthesis import _perturbation_direction
+import gammakit.synthesis
+from gammakit.synthesis import _admissible, _first_step, _perturbation_direction
 from gammakit.tolerances import ToleranceConfig
 
-from helpers import random_spec
+from helpers import count_calls, random_spec
 
 
 def reference_witness_non_extreme(
@@ -144,3 +146,44 @@ def test_witness_matches_unscreened_search_non_strict():
     for _ in range(4):
         g = synthesize(random_spec(rng, n_max=10))
         _assert_same(validate(g.E, g.D, g.n, strict=False))
+
+
+def test_witness_search_starts_at_the_admissible_radius(monkeypatch):
+    # The start 2^(1 + ceil(log2 u*)) skips the sizes that fail anyway: a search from 1
+    # calls _admissible 168 times on these maps.
+    calls = count_calls(monkeypatch, "_admissible", _admissible)
+    witnessed = sum(isinstance(_assert_same(h)[0], float) for h in _maps(20240214, 10))
+    assert witnessed and len(calls) <= 60
+
+
+@pytest.mark.parametrize(
+    "g0, x, q, slack, start",
+    [
+        ([10.0, 10.0], [1.0, -1.0], [1.0, 1.0], 0.0, 1.0),  # u* = 2.7
+        ([3.0, 5.0], [0.0, 0.0], [4.0, 4.0], 0.0, 1.0),  # u* = 0.87: 2 is capped at 1
+        ([1.0, 2.0], [0.0, 0.0], [0.0, 0.0], 1e-9, 1.0),  # X = Q = 0: u* = inf
+        ([-1e-9, 1.0], [0.0, 1.0], [1.0, 1.0], 1e-9, 1.0),  # 0 / 0: u* = NaN
+        ([1.0, 1.0], [0.0, 0.0], [-1.0, 1.0], 0.0, 1.0),  # sqrt(-4): u* = NaN
+        ([-2.0, 1.0], [1.0, 1.0], [1.0, 1.0], 0.0, 1.0),  # below -s: u* < 0
+        ([1.0, 4.0], [0.0, 0.0], [2.0**20, 1.0], 0.0, 2.0**-9),  # u* = 2^-10 exactly
+        ([1.0, 1.0], [0.0, 0.0], [25.0, 1.0], 0.0, 0.5),  # u* = 0.2: 2^(1 - 2)
+        ([1e-40, 1.0], [1.0, 0.0], [0.0, 0.0], 0.0, 2.0**-59),  # u* = 1e-40: the last size
+    ],
+)
+def test_first_step_fallbacks_and_bounds(g0, x, q, slack, start):
+    assert _first_step(np.array([g0, x, q]), slack) == start
+
+
+def test_witness_search_tries_no_size_below_the_last_halving(monkeypatch):
+    tried = []
+
+    def rejecting(halves, grids, u, tol):
+        tried.append(u)
+        return False
+
+    monkeypatch.setattr(gammakit.synthesis, "_admissible", rejecting)
+    h = next(h for h in _maps(20240214, 10) if 2 * royal_profile(h).k <= h.n)
+    with pytest.raises(GammaKitError, match="no admissible perturbation size found in 60"):
+        witness_non_extreme(h)
+    assert tried == [tried[0] * 0.5**i for i in range(len(tried))]
+    assert tried[0] <= 1.0 and tried[-1] == 2.0**-59
