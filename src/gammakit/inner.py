@@ -18,7 +18,7 @@ import numpy as np
 from .errors import BadParameter, ConditionFailed, NotInner, PoleOnDomain
 from .polynomials import (
     Poly,
-    _roots,
+    _closed_disc_roots,
     _schur_cohn_outer,
     conj_reciprocal,
     is_n_symmetric,
@@ -118,13 +118,11 @@ def validate(
         if zero is not None:
             d_failure = f"D has a zero of modulus {abs(zero):.9g} on the closed disc"
     elif d.degree > 0:
-        for z, m in _roots(d, tol, keep="disc"):
-            r = abs(z)
-            if r < 1.0 - tol.eps_circle:
-                d_failure = f"D has a zero of modulus {r:.9g} in the open disc"
+        for z, m, on_circle in _closed_disc_roots(d, tol):
+            if not on_circle:
+                d_failure = f"D has a zero of modulus {abs(z):.9g} in the open disc"
                 break
-            if r <= 1.0 + tol.eps_circle:
-                circle_zeros += m
+            circle_zeros += m
     return _checked(e, d, n, tol, strict, d_failure, circle_zeros, to_trig_modulus_squared(d))
 
 
@@ -170,14 +168,14 @@ def _checked(e, d, n, tol, strict, d_failure, circle_zeros, d_power) -> GammaInn
 
 
 def _closed_disc_zero(p: Poly, tol: ToleranceConfig) -> complex | None:
-    """The first computed zero of p with modulus below rho = 1 + eps_circle, if any.
+    """The first computed zero of p in the closed disc (``_closed_disc_roots``), if any.
 
-    Roots are solved for only when the Schur-Cohn test on p(rho lambda) fails.
+    Roots are solved for only when Schur-Cohn on p(rho lambda), rho = 1 + eps_circle, fails.
     """
     rho = 1.0 + tol.eps_circle
     if _schur_cohn_outer([c * rho**k for k, c in enumerate(p.coeffs)]):
         return None  # also for constants, zero included
-    return next((z for z, _ in _roots(p, tol, keep="disc") if abs(z) < rho), None)
+    return next((z for z, _, _ in _closed_disc_roots(p, tol)), None)
 
 
 def eval_h(h: GammaInner, lam: complex) -> tuple[complex, complex]:

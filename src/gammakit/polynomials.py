@@ -13,7 +13,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadParameter, DegreeExceedsBound, PointOutOfRegion, ZeroPolynomial
+from .errors import (
+    BadParameter,
+    DegreeExceedsBound,
+    OddCircleZero,
+    PointOutOfRegion,
+    ZeroPolynomial,
+)
 from .tolerances import DEFAULT_TOL, ToleranceConfig
 
 _EPS = 2.220446049250313e-16
@@ -224,7 +230,6 @@ class _ClusterContext:
     """
 
     def __init__(self, f: Poly, eps_coeff: float = 0.0):
-        self.source = (f, eps_coeff)
         self.noise = 4.0 * max(f.degree, 1) * _EPS + eps_coeff
         self._derivs = [f.coeffs]
 
@@ -265,6 +270,16 @@ class _ClusterContext:
         if lead == 0.0:
             return math.inf
         return (self.residual_floor(z) / lead) ** (1.0 / m)
+
+    def location_uncertainty(self, z: complex, m: int) -> float:
+        """First-order displacement bound of a computed m-fold root at z.
+
+        The root is a simple zero of the (m-1)-th derivative, so it moves by
+        that derivative's rounding floor over the m-th derivative's modulus.
+        """
+        dg = self.deriv(m)
+        slope = abs(_horner(dg, z)) if dg is not None else 0.0
+        return self.residual_floor(z, m - 1) / slope if slope > 0.0 else math.inf
 
     def consistent_root(self, z: complex, m: int) -> bool:
         """Backward-error test: f and its first m-1 derivatives vanish at z."""
@@ -385,10 +400,6 @@ def _polish_cluster(
     return best
 
 
-class _Roots(tuple):
-    """Pairs from roots_with_multiplicity; ``context`` is the _ClusterContext that found them."""
-
-
 def roots_with_multiplicity(
     f: Poly, tol: ToleranceConfig = DEFAULT_TOL
 ) -> tuple[tuple[complex, int], ...]:
@@ -401,8 +412,10 @@ def roots_with_multiplicity(
     backward stable for the coefficients; ``_cluster`` then makes every
     multiplicity decision. Roots closer together than the accuracy
     attainable for their combined multiplicity are reported as one root at
-    the polished cluster centroid. Internal callers that keep one side of the
-    circle call ``_roots``, which leaves some roots on the other side raw.
+    the polished cluster centroid. Two classifiers place roots against the
+    circle: ``_closed_disc_roots`` for D and E, whose circle zeros may be
+    simple, and ``partition_circle_roots`` for R and Fejer-Riesz symbols, whose
+    circle zeros have even order; both read ``_roots``' one-sided solves.
     """
     return _roots(f, tol)
 
@@ -412,7 +425,8 @@ def _roots(f: Poly, tol: ToleranceConfig, keep: str | None = None):
 
     An isolated root farther on the other side than ``partition_circle_roots``' reach plus
     the leash (1 + |z|) that bounds a simple root's polish stays its raw eigenvalue: the
-    polish could not bring it to the kept side. All else is bit for bit the same.
+    polish could not bring it to the kept side. All else is bit for bit the same, so the
+    side either circle classifier keeps is too.
     """
     if f.is_zero():
         raise ZeroPolynomial("cannot extract roots of the zero polynomial")
@@ -426,8 +440,8 @@ def _roots(f: Poly, tol: ToleranceConfig, keep: str | None = None):
     zeros_at_origin = next(k for k, c in enumerate(cs) if c != 0)
     cs = cs[zeros_at_origin:]
     clustered = [(0j, zeros_at_origin)] if zeros_at_origin else []
-    ctx = _ClusterContext(f, eps_coeff=tol.eps_trim)
     if len(cs) > 1:
+        ctx = _ClusterContext(f, eps_coeff=tol.eps_trim)
         companion = np.diag(np.ones(len(cs) - 2, dtype=complex), -1)
         companion[0, :] = -np.array(cs[-2::-1]) / cs[-1]
         raw = np.linalg.eigvals(companion).tolist()
@@ -436,9 +450,95 @@ def _roots(f: Poly, tol: ToleranceConfig, keep: str | None = None):
         leash = 4.0 * min(tol.eps_root, _CLUSTER_CAP) + 1e-12  # _polish_cluster's, m = 1
         far = {z for z in raw if side * (abs(z) - 1.0) > reach + leash * (1.0 + abs(z))}
         clustered.extend(_cluster(raw, tol.eps_root, ctx, far))
-    roots = _Roots(sorted(clustered, key=lambda item: (item[0].real, item[0].imag)))
-    roots.context = ctx
-    return roots
+    return tuple(sorted(clustered, key=lambda item: (item[0].real, item[0].imag)))
+
+
+def _closed_disc_roots(f: Poly, tol: ToleranceConfig) -> list[tuple[complex, int, bool]]:
+    """(root, multiplicity, on_circle) for f's computed roots in the closed disc, in order.
+
+    The plain band: |z| within eps_circle of 1 is the circle, below it the open disc. It
+    serves D and E, whose circle zeros may be simple, so parity cannot confirm them.
+    """
+    pairs = ((z, m, abs(z) - 1.0) for z, m in _roots(f, tol, keep="disc"))
+    return [(z, m, gap >= -tol.eps_circle) for z, m, gap in pairs if gap <= tol.eps_circle]
+
+
+@dataclass
+class _CircleCluster:
+    """Circle candidates merged by angle: unimodular point and total order."""
+
+    point: complex
+    order: int
+    hard: bool
+    members: list
+
+
+def partition_circle_roots(roots, f: Poly, tol: ToleranceConfig):
+    """Split computed roots into circle clusters, inside and outside roots.
+
+    The parity-aware classifier, for R and Fejer-Riesz symbols: lambda^-n
+    times either is nonnegative on the circle, so their circle zeros have even
+    order (D and E take ``_closed_disc_roots``' plain band). Roots within
+    ``eps_circle`` of the unit circle are hard circle candidates; roots
+    within their estimated location uncertainty of the circle are soft
+    candidates. Candidates are merged angularly and a merged cluster counts
+    as a genuine circle zero only when its total order is even. An odd
+    cluster with a hard member raises ``OddCircleZero``; an odd soft cluster
+    falls back to its members' radial sides.
+
+    Returns (circle, inside, outside) where circle holds (point, order)
+    pairs with unimodular points and order the full (even) zero order.
+    """
+    # Soft candidates lie within 8 location uncertainties of the circle and within
+    # reach; testing reach first spares the far roots their uncertainty.
+    reach = max(tol.eps_circle, _CIRCLE_REACH)
+    ctx = _ClusterContext(f, eps_coeff=tol.eps_trim)
+    candidates = []
+    inside = []
+    outside = []
+    for z, m in roots:
+        radius = abs(z)
+        gap = abs(radius - 1.0)
+        if radius == 0.0:
+            inside.append((z, m))
+        elif gap <= reach and gap <= max(tol.eps_circle, 8.0 * ctx.location_uncertainty(z, m)):
+            candidates.append((z / radius, m, z, gap <= tol.eps_circle))
+        elif radius > 1.0:
+            outside.append((z, m))
+        else:
+            inside.append((z, m))
+
+    clusters = []
+    for snapped, m, original, hard in sorted(
+        candidates, key=lambda it: (it[0].real, it[0].imag)
+    ):
+        for group in clusters:
+            radius = min(tol.eps_root ** (1.0 / (m + group.order)), _CLUSTER_CAP)
+            if abs(snapped - group.point) <= radius:
+                weighted = group.point * group.order + snapped * m
+                group.point = weighted / abs(weighted)
+                group.order += m
+                group.hard = group.hard or hard
+                group.members.append((original, m))
+                break
+        else:
+            clusters.append(_CircleCluster(snapped, m, hard, [(original, m)]))
+
+    circle = []
+    for group in clusters:
+        if group.order % 2 == 0:
+            circle.append((group.point, group.order))
+        elif group.hard:
+            raise OddCircleZero(
+                f"circle zero at {group.point:.6g} has odd order {group.order}"
+            )
+        else:
+            for original, m in group.members:
+                if abs(original) > 1.0:
+                    outside.append((original, m))
+                else:
+                    inside.append((original, m))
+    return circle, inside, outside
 
 
 def poly_from_roots(roots, lead: complex = 1.0) -> Poly:
@@ -463,23 +563,3 @@ def _schur_cohn_outer(cs) -> bool:
         c = p[-1] / p[0].conjugate()
         p = [x - c * y.conjugate() for x, y in zip(p[:-1], reversed(p[1:]))]
     return True
-
-
-def root_location_uncertainties(
-    f: Poly, roots, eps_coeff: float = 0.0
-) -> tuple[float, ...]:
-    """First-order positional error bound for each computed (root, mult) pair.
-
-    An m-fold root is pinned down as a simple zero of the (m-1)-th
-    derivative, so its displacement under the rounding floor is the floor of
-    that derivative divided by the m-th derivative's magnitude.
-    """
-    ctx = getattr(roots, "context", None)  # its derivatives serve the same f and eps_coeff
-    if ctx is None or ctx.source != (f, eps_coeff):
-        ctx = _ClusterContext(f, eps_coeff=eps_coeff)
-    out = []
-    for z, m in roots:
-        dg = ctx.deriv(m)
-        slope = abs(_horner(dg, z)) if dg is not None else 0.0
-        out.append(ctx.residual_floor(z, max(m - 1, 0)) / slope if slope > 0.0 else math.inf)
-    return tuple(out)

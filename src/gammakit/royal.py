@@ -19,8 +19,8 @@ import numpy as np
 
 from .errors import OddCircleZero, OrderOverflow, RoyalVariety
 from .inner import GammaInner, _h_values
-from .polynomials import Poly, _roots, is_n_symmetric
-from .spectral import circle_extrema, partition_circle_roots, to_trig_shifted
+from .polynomials import Poly, _roots, is_n_symmetric, partition_circle_roots
+from .spectral import circle_extrema, to_trig_shifted
 from .tolerances import DEFAULT_TOL, ToleranceConfig
 
 

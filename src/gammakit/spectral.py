@@ -17,20 +17,18 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import GammaKitError, NotBalanced, NotNonnegative, OddCircleZero, ZeroPolynomial
+from .errors import GammaKitError, NotBalanced, NotNonnegative, ZeroPolynomial
 from .polynomials import (
-    _CIRCLE_REACH,
     _EPS,
     Poly,
     _check_finite,
     _horner,
     _normalized,
     _roots,
-    _Roots,
     _schur_cohn_outer,
     is_n_symmetric,
+    partition_circle_roots,
     poly_from_roots,
-    root_location_uncertainties,
 )
 from .tolerances import DEFAULT_TOL, ToleranceConfig
 
@@ -155,13 +153,13 @@ def to_trig_shifted(p: Poly, n: int, tol: ToleranceConfig = DEFAULT_TOL) -> Trig
     return TrigPoly.from_half_spectrum(half)
 
 
-def _grid_values(f: TrigPoly, size: int) -> np.ndarray:
-    """f at the angles 2 pi m / size, m = 0 .. size - 1, from one real inverse FFT.
+def _grid_values(halves, size: int) -> np.ndarray:
+    """Values at the angles 2 pi m / size, m = 0 .. size - 1, from one real inverse FFT.
 
-    It reads a_0 .. a_n only, as ``_on_circle`` does. The grid carries no
-    aliasing once size >= 2n + 1, so the values are exact up to rounding.
+    halves is one half spectrum a_0 .. a_n, as ``_on_circle`` reads it, or rows of them.
+    The grid carries no aliasing once size >= 2n + 1, so the values are exact up to rounding.
     """
-    return np.fft.irfft(f.coeffs[f.n :], size, norm="forward")
+    return np.fft.irfft(halves, size, norm="forward")
 
 
 def _extrema_grid_size(n: int, samples: int) -> int:
@@ -178,7 +176,7 @@ def circle_extrema(f: TrigPoly, samples: int) -> tuple[float, float]:
     Returns the smallest value seen, grid point or iterate, and its angle
     mod 2 pi.
     """
-    return _refine_minimum(f, _grid_values(f, _extrema_grid_size(f.n, samples)))
+    return _refine_minimum(f, _grid_values(f.coeffs[f.n :], _extrema_grid_size(f.n, samples)))
 
 
 def _refine_minimum(f: TrigPoly, grid_values) -> tuple[float, float]:
@@ -270,84 +268,6 @@ def _newton_factor(d, half) -> tuple[np.ndarray, float]:
             break
         d = d + delta[: n + 1] + 1j * delta[n + 1 :]
     return best, best_res
-
-
-@dataclass
-class _CircleCluster:
-    """Circle candidates merged by angle: unimodular point and total order."""
-
-    point: complex
-    order: int
-    hard: bool
-    members: list
-
-
-def partition_circle_roots(roots, f: Poly, tol: ToleranceConfig):
-    """Split computed roots into circle clusters, inside and outside roots.
-
-    Roots within ``eps_circle`` of the unit circle are hard circle
-    candidates; roots within their estimated location uncertainty of the
-    circle are soft candidates. Candidates are merged angularly and a merged
-    cluster counts as a genuine circle zero only when its total order is
-    even, the structural property of squared moduli and royal polynomials.
-    An odd cluster with a hard member raises ``OddCircleZero``; an odd soft
-    cluster falls back to its members' radial sides.
-
-    Returns (circle, inside, outside) where circle holds (point, order)
-    pairs with unimodular points and order the full (even) zero order.
-    """
-    # A soft annulus is never wider than reach, so only roots within reach
-    # of the circle need their location uncertainty.
-    reach = max(tol.eps_circle, _CIRCLE_REACH)
-    near = _Roots((z, m) for z, m in roots if abs(abs(z) - 1.0) <= reach)
-    near.context = getattr(roots, "context", None)  # the ladder roots_with_multiplicity built
-    errs = dict(zip(near, root_location_uncertainties(f, near, eps_coeff=tol.eps_trim)))
-    candidates = []
-    inside = []
-    outside = []
-    for z, m in roots:
-        radius = abs(z)
-        gap = abs(radius - 1.0)
-        if radius == 0.0:
-            inside.append((z, m))
-        elif gap <= reach and gap <= max(tol.eps_circle, min(8.0 * errs[z, m], _CIRCLE_REACH)):
-            candidates.append((z / radius, m, z, gap <= tol.eps_circle))
-        elif radius > 1.0:
-            outside.append((z, m))
-        else:
-            inside.append((z, m))
-
-    clusters = []
-    for snapped, m, original, hard in sorted(
-        candidates, key=lambda it: (it[0].real, it[0].imag)
-    ):
-        for group in clusters:
-            radius = min(tol.eps_root ** (1.0 / (m + group.order)), 1e-2)
-            if abs(snapped - group.point) <= radius:
-                weighted = group.point * group.order + snapped * m
-                group.point = weighted / abs(weighted)
-                group.order += m
-                group.hard = group.hard or hard
-                group.members.append((original, m))
-                break
-        else:
-            clusters.append(_CircleCluster(snapped, m, hard, [(original, m)]))
-
-    circle = []
-    for group in clusters:
-        if group.order % 2 == 0:
-            circle.append((group.point, group.order))
-        elif group.hard:
-            raise OddCircleZero(
-                f"circle zero at {group.point:.6g} has odd order {group.order}"
-            )
-        else:
-            for original, m in group.members:
-                if abs(original) > 1.0:
-                    outside.append((original, m))
-                else:
-                    inside.append((original, m))
-    return circle, inside, outside
 
 
 def fejer_riesz(f: TrigPoly, tol: ToleranceConfig = DEFAULT_TOL) -> Poly:

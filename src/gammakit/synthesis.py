@@ -26,9 +26,9 @@ from .errors import (
 from .inner import GammaInner, _with_numerator, validate
 from .polynomials import (
     Poly,
+    _closed_disc_roots,
     _convolve,
     _normalized,
-    _roots,
     l_factor,
     poly_from_roots,
     q_factor,
@@ -38,6 +38,7 @@ from .spectral import (
     TrigPoly,
     _correlation,
     _extrema_grid_size,
+    _grid_values,
     _refine_minimum,
     fejer_riesz,
     to_trig_modulus_squared,
@@ -168,11 +169,10 @@ def recover_spec(h: GammaInner, tol: ToleranceConfig | None = None) -> Synthesis
 
     alphas = []
     taus = []
-    for z, m in _roots(h.E, tol, keep="disc"):
-        radius = abs(z)
-        if abs(radius - 1.0) <= tol.eps_circle:
-            taus.extend([z / radius] * m)
-        elif radius < 1.0:
+    for z, m, on_circle in _closed_disc_roots(h.E, tol):
+        if on_circle:
+            taus.extend([z / abs(z)] * m)
+        else:
             alphas.extend([z] * m)
 
     monic = SynthesisSpec(
@@ -273,7 +273,7 @@ def witness_non_extreme(
     n = max(f.n for f in pencil)
     halves = np.array([f.coeffs[f.n :] + (0j,) * (n - f.n) for f in pencil])
     size = _extrema_grid_size(n, tol.circle_samples)
-    grids = np.fft.irfft(halves, size, norm="forward")
+    grids = _grid_values(halves, size)
     slack = 0.5 * tol.eps_residual * (1.0 + sum(f.max_coeff for f in pencil))
 
     t_step = _first_step(grids, slack)

@@ -34,8 +34,8 @@ class ToleranceConfig:
                 raise ValueError(f"{name} must be finite and strictly positive")
         if not self.eps_circle < 0.5:
             raise ValueError("eps_circle must be below 0.5")
-        if self.circle_samples < 256:
-            raise ValueError("circle_samples must be at least 256")
+        if not 256 <= self.circle_samples < float("inf"):  # NaN fails too
+            raise ValueError("circle_samples must be at least 256 and finite")
 
     def with_overrides(self, **kwargs) -> "ToleranceConfig":
         return replace(self, **kwargs)

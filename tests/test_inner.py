@@ -77,6 +77,24 @@ def test_closed_disc_zero_agrees_with_root_rule():
     assert cases > 1500
 
 
+def test_plain_band_edges_agree_across_consumers():
+    # D's circle zeros may be simple, so one band |r - 1| <= eps_circle places them: the
+    # non-strict validate counts a root at 1 +- eps_circle / 2 as a circle zero and drops
+    # one at 1 + 2 eps_circle, and _closed_disc_zero finds exactly the counted ones.
+    eps = DEFAULT_TOL.eps_circle
+    direction = cmath.exp(0.7j)
+    for modulus, circle_zeros in ((1 + eps / 2, 1), (1 - eps / 2, 1), (1 + 2 * eps, 0)):
+        d = poly_from_roots([(modulus * direction, 1), (2.5, 1)])
+        assert validate(Poly([]), d, 2, strict=False).d_circle_zeros == circle_zeros
+        assert (_closed_disc_zero(d, DEFAULT_TOL) is not None) == bool(circle_zeros)
+    # One at 1 - 2 eps_circle lies in the open disc.
+    d = poly_from_roots([((1 - 2 * eps) * direction, 1), (2.5, 1)])
+    with pytest.raises(ConditionFailed) as err:
+        validate(Poly([]), d, 2, strict=False)
+    assert err.value.details == {"iii": "D has a zero of modulus 0.99999998 in the open disc"}
+    assert abs(abs(_closed_disc_zero(d, DEFAULT_TOL)) - (1 - 2 * eps)) < 1e-15
+
+
 def test_validate_rejects_degree_overflow_and_asymmetry():
     with pytest.raises(ConditionFailed) as err:
         validate(Poly([1, 2]), Poly([1]), 1)

@@ -575,7 +575,9 @@ def test_cli_tolerance_overrides(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().out.strip() == wide
 
 
-@pytest.mark.parametrize("name", ["eps_trim", "eps_root", "eps_circle", "eps_residual"])
+@pytest.mark.parametrize(
+    "name", ["eps_trim", "eps_root", "eps_circle", "eps_residual", "circle_samples"]
+)
 @pytest.mark.parametrize("value", [math.inf, math.nan, 0.0])
 def test_tolerance_config_rejects_non_finite_or_non_positive(name, value):
     with pytest.raises(ValueError, match=name):
