@@ -10,6 +10,7 @@ recursion, the rest by pairing the roots of the associated polynomial.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -228,13 +229,26 @@ def _cepstral_factor(f: TrigPoly, degree: int, size: int) -> np.ndarray:
     values take a complex transform, not ``_grid_values``' real one: D's bits depend on it.
     """
     spectrum = np.zeros(size, dtype=complex)
-    spectrum[np.arange(-f.n, f.n + 1)] = f.coeffs  # negative frequencies wrap to the end
+    spectrum[: f.n + 1] = f.coeffs[f.n :]
+    spectrum[size - f.n :] = f.coeffs[: f.n]  # negative frequencies wrap to the end
     values = np.maximum(np.fft.ifft(spectrum, norm="forward").real, 1e-300)  # f may dip below 0
     cepstrum = np.fft.fft(np.log(values)) / size
     cepstrum[0] *= 0.5
     cepstrum[size // 2 :] = 0.0
     outer = np.exp(np.fft.ifft(cepstrum) * size)
     return np.fft.fft(outer)[: degree + 1] / size
+
+
+@functools.lru_cache(maxsize=64)
+def _newton_plan(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only gather indices of ``_newton_factor``'s matrices at degree n, into
+    [d_0 .. d_n, 0, conj d_0 .. conj d_n]: (r, c) picks conj d_{c-r} (c >= r) in the
+    first and d_{c+r} (c + r <= n) in the second, else the zero at n + 1."""
+    rows, cols = np.indices((n + 1, n + 1))
+    lag = np.where(cols >= rows, n + 2 + cols - rows, n + 1)
+    total = np.where(cols + rows <= n, cols + rows, n + 1)
+    lag.flags.writeable = total.flags.writeable = False
+    return lag, total
 
 
 def _newton_factor(d, half) -> tuple[np.ndarray, float]:
@@ -244,23 +258,28 @@ def _newton_factor(d, half) -> tuple[np.ndarray, float]:
     spectrum a_0 .. a_n for 2n + 2 real unknowns, with Im delta_0 = 0 fixing
     the phase. At most ten steps, up to the first that does not lower the
     residual max_k |a_k - (|D|^2)_k|. Returns the best coefficients and residual.
+    The gather indices come from ``_newton_plan``, cached per degree (the last 64
+    degrees used); they place the same operands, so D keeps its bits.
     """
     n = len(d) - 1
-    rows, cols = np.indices((n + 1, n + 1))
-    upper, mirror = cols >= rows, cols + rows <= n
-    lag, total = np.where(upper, cols - rows, 0), np.where(mirror, cols + rows, 0)
+    lag, total = _newton_plan(n)
+    pad = np.zeros(2 * n + 3, dtype=complex)
+    jac, rhs = np.empty((2 * n + 2, 2 * n + 2)), np.empty(2 * n + 2)  # of (Re delta, Im delta)
     best, best_res = d, math.inf
     for _ in range(11):
-        lagged = np.where(upper, d.conj()[lag], 0.0)  # lagged @ d: the half spectrum of |D|^2
+        pad[: n + 1] = d
+        np.conjugate(d, out=pad[n + 2 :])
+        lagged = pad.take(lag)  # lagged @ d: the half spectrum of |D|^2
         gap = half - lagged @ d
         res = float(np.abs(gap).max())
         if not res < best_res:
             break
         best, best_res = d, res
-        mirrored = np.where(mirror, d[total], 0.0)
-        step_map = np.concatenate([lagged + mirrored, 1j * (lagged - mirrored)], axis=1)
-        jac = np.concatenate([step_map.real, step_map.imag])  # of (Re delta, Im delta)
-        rhs = np.concatenate([gap.real, gap.imag])
+        mirrored = pad.take(total)
+        same, turned = lagged + mirrored, 1j * (lagged - mirrored)
+        jac[: n + 1, : n + 1], jac[: n + 1, n + 1 :] = same.real, turned.real
+        jac[n + 1 :, : n + 1], jac[n + 1 :, n + 1 :] = same.imag, turned.imag
+        rhs[: n + 1], rhs[n + 1 :] = gap.real, gap.imag
         jac[n + 1, n + 1], rhs[n + 1] = 1.0, 0.0  # row n + 1 (Im a_0) is identically zero
         try:
             delta = np.linalg.solve(jac, rhs)
@@ -287,7 +306,8 @@ def fejer_riesz(f: TrigPoly, tol: ToleranceConfig = DEFAULT_TOL) -> Poly:
     certified bound: ROADMAP defect C) is below -eps_residual (relative),
     ``OddCircleZero`` for a circle zero cluster of odd order, impossible for
     a squared modulus, and ``GammaKitError`` naming the symbol depth when the
-    selected roots do not number the factor degree.
+    selected roots do not number the factor degree. Newton's plans are cached per
+    degree, with a bound; the cache does not change D.
     """
     scale = f.max_coeff
     if scale == 0.0:
@@ -307,7 +327,7 @@ def fejer_riesz(f: TrigPoly, tol: ToleranceConfig = DEFAULT_TOL) -> Poly:
     size = 1 << (16 * (2 * top + 2) - 1).bit_length()  # a power of two >= 16 (2n + 2)
     for _ in range(4 if min_val > _ROOT_FREE_DEPTH else 0):
         d, res = _newton_factor(_cepstral_factor(g, top, size), target)
-        if res <= 64.0 * _EPS * (top + 1) and _schur_cohn_outer(d):
+        if res <= 64.0 * _EPS * (top + 1) and _schur_cohn_outer(d.tolist()):
             break
         size *= 2
     else:  # no root-free factor accepted, or none tried
@@ -328,6 +348,8 @@ def fejer_riesz(f: TrigPoly, tol: ToleranceConfig = DEFAULT_TOL) -> Poly:
         if not on_circle:
             d = _newton_factor(d, target)[0]
 
-    factor = math.sqrt(scale) * Poly(d)
-    at_zero = factor(0j)
-    return factor * (at_zero / abs(at_zero)).conjugate()
+    factor = _normalized(d.tolist())
+    factor = _normalized([complex(math.sqrt(scale)) * c for c in factor])
+    at_zero = _horner(factor, 0j)
+    turn = (at_zero / abs(at_zero)).conjugate()
+    return Poly([turn * c for c in factor])
