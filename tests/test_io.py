@@ -1,4 +1,5 @@
 import cmath
+import concurrent.futures
 import dataclasses
 import decimal
 import fractions
@@ -9,6 +10,8 @@ import random
 import re
 import struct
 import sys
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -37,6 +40,7 @@ from gammakit import (
     trace_boundary,
     trace_to_csv,
 )
+from gammakit import _floatrepr
 from gammakit.cli import cli_dispatch
 from gammakit.geometry import _chart_curve
 from gammakit.inner import _h_values
@@ -322,6 +326,74 @@ def test_trace_csv_converts_every_field_as_float_does():
             row[at] = bad
             with pytest.raises(TypeError):
                 trace_to_csv([(0.5,) * 9, tuple(row)])
+
+
+def test_trace_csv_renders_in_parallel_threads():
+    # Each thread renders in a workspace of its own, which grows with its longest trace.
+    traces = [trace_boundary(h, 1024 + 16 * i) for i, h in enumerate(_trace_maps()[1:])]
+    lengths = (16, 512, None, None, None)
+    start = threading.Barrier(len(traces), timeout=60)
+
+    def render(rows):
+        start.wait()
+        return [trace_to_csv(rows[:length]) for length in lengths]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads between numpy calls as often as possible
+    try:
+        with concurrent.futures.ThreadPoolExecutor(len(traces)) as pool:
+            texts = [job.result(timeout=60) for job in [pool.submit(render, r) for r in traces]]
+    finally:
+        sys.setswitchinterval(interval)
+    for rows, text in zip(traces, texts):  # lists of lines keep a failure's diff short
+        expected = [_reference_csv(rows[:length]).split("\n") for length in lengths]
+        assert [t.split("\n") for t in text] == expected
+
+
+def test_trace_csv_leaves_no_stale_bytes():
+    # One thread, fresh at the start: the workspace is sized by the first block and reused,
+    # so every later render must overwrite whatever it reads.
+    special = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e100]
+    marked = [list(row) for row in trace_boundary(h_nu(3, 0.5), 1024)]
+    marked[0][:6], marked[-1][3:] = special, special
+    traces = [trace_boundary(h_nu(2, 0.5), 1025), trace_boundary(h_nu(1, 0.5), 16), marked]
+    with concurrent.futures.ThreadPoolExecutor(1) as pool:
+        texts = list(pool.map(trace_to_csv, traces))
+    for rows, text in zip(traces, texts):
+        assert text.split("\n") == _reference_csv(map(TraceRow._make, rows)).split("\n")
+
+
+def test_trace_csv_reentered_mid_render(monkeypatch):
+    # A render reached again while its thread's workspace is busy, as from a finalizer
+    # between two numpy calls, renders with a fresh one and leaves the outer render intact.
+    outer, inner = trace_boundary(h_nu(3, 0.5), 1024), trace_boundary(h_nu(1, 0.5), 1024)
+    trace_to_csv(outer)  # this thread now has a workspace of full size
+    shortest, seen = _floatrepr._shortest, []
+
+    def reentering(*args):
+        digits = shortest(*args)
+        if not seen:  # once: the inner render comes through here too
+            seen.append(None)
+            seen[0] = trace_to_csv(inner)
+        return digits
+
+    monkeypatch.setattr(_floatrepr, "_shortest", reentering)
+    assert trace_to_csv(outer).split("\n") == _reference_csv(outer).split("\n")
+    assert seen[0].split("\n") == _reference_csv(inner).split("\n")
+
+
+def test_trace_csv_warm_call_allocates_little():
+    # After the first call a render reuses its thread's workspace: a warm call allocates
+    # its input array and output string (about 178 KiB here) and little more.
+    rows = trace_boundary(h_nu(3, 0.5), 1024)
+    trace_to_csv(rows)
+    tracemalloc.start()
+    try:
+        trace_to_csv(rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 512 * 1024
 
 
 def _near_pole_map():
