@@ -16,7 +16,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import BadParameter, NotOnTorusFiber
-from .tolerances import DEFAULT_TOL, ToleranceConfig
+from .tolerances import DEFAULT_TOL, ToleranceConfig, _band_miss, _unimodular
 
 
 class GammaRegion(Enum):
@@ -84,8 +84,8 @@ def mobius_chart(
     p = complex(p)
     if not (cmath.isfinite(s) and cmath.isfinite(p) and math.isfinite(branch_ref)):
         raise BadParameter(f"(s, p, branch_ref) = ({s}, {p}, {branch_ref}) is not finite")
-    if not abs(abs(p) - 1.0) <= tol.eps_circle:
-        raise NotOnTorusFiber(f"||p| - 1| = {abs(abs(p) - 1.0):.3e}; the chart needs |p| = 1")
+    if _unimodular(p, tol) is None:
+        raise NotOnTorusFiber(f"{_band_miss('p', p, tol)}; the chart needs |p| = 1")
     principal = cmath.phase(p)
     theta = principal + 2.0 * math.pi * round((branch_ref - principal) / (2.0 * math.pi))
     x = 0.5 * (s * cmath.exp(-0.5j * theta)).real
@@ -99,9 +99,8 @@ def _chart_curve(s: np.ndarray, p: np.ndarray, tol: ToleranceConfig):
     branch nearest the previous theta (the first one's nearest 0); x is taken
     in real arithmetic, which rounds as the scalar complex product does.
     """
-    off = np.abs(np.abs(p) - 1.0) > tol.eps_circle
-    if off.any():  # the scalar chart raises its error for the first row off the fiber
-        mobius_chart(s[off.argmax()], p[off.argmax()], tol=tol)
+    worst = np.argmax(np.abs(np.abs(p) - 1.0))  # argmax picks a NaN first
+    mobius_chart(s[worst], p[worst], tol=tol)  # the scalar chart's checks, on the worst row
     principal = np.angle(p)
     turns = np.cumsum(np.round(-np.diff(principal, prepend=0.0) / (2.0 * math.pi)))
     theta = principal + 2.0 * math.pi * turns

@@ -24,7 +24,7 @@ from .polynomials import (
     is_n_symmetric,
 )
 from .spectral import TrigPoly, circle_extrema, to_trig_modulus_squared
-from .tolerances import DEFAULT_TOL, ToleranceConfig
+from .tolerances import DEFAULT_TOL, ToleranceConfig, _band_miss, _in_closed_disc, _unimodular
 
 
 @dataclass(frozen=True)
@@ -76,8 +76,7 @@ class GammaInner:
     def eval(self, lam: complex) -> tuple[complex, complex]:
         return eval_h(self, lam)
 
-    def __call__(self, lam: complex) -> tuple[complex, complex]:
-        return eval_h(self, lam)
+    __call__ = eval
 
 
 def circle_gap(e: Poly, d: Poly) -> TrigPoly:
@@ -118,8 +117,8 @@ def validate(
         if zero is not None:
             d_failure = f"D has a zero of modulus {abs(zero):.9g} on the closed disc"
     elif d.degree > 0:
-        for z, m, on_circle in _closed_disc_roots(d, tol):
-            if not on_circle:
+        for z, m, unit in _closed_disc_roots(d, tol):
+            if unit is None:
                 d_failure = f"D has a zero of modulus {abs(z):.9g} in the open disc"
                 break
             circle_zeros += m
@@ -191,8 +190,8 @@ def _h_values(h: GammaInner, lam):
     """
     many = isinstance(lam, np.ndarray)
     far = lam.flat[np.argmax(np.abs(lam))] if many else lam  # argmax picks a NaN first
-    if not abs(far) <= 1.0 + h.tol.eps_circle:
-        raise ValueError(f"|lambda| = {abs(far):.6g} lies outside the closed disc")
+    if not _in_closed_disc(far, h.tol):
+        raise ValueError(f"lambda lies outside the closed disc: {_band_miss('lambda', far, h.tol)}")
     den = h.D(lam)
     near = lam.flat[np.argmin(np.abs(den))] if many else lam
     if abs(h.D(near)) <= h.tol.eps_trim * (1.0 + h.D.max_coeff):
@@ -251,8 +250,8 @@ def h_nu(nu: int, r: float, tol: ToleranceConfig = DEFAULT_TOL) -> GammaInner:
 def geodesic(beta: complex, tol: ToleranceConfig = DEFAULT_TOL) -> GammaInner:
     """The degree-one map (beta + conj(beta) lambda, lambda) for |beta| <= 1."""
     beta = complex(beta)
-    if abs(beta) > 1.0 + tol.eps_circle:
-        raise BadParameter("beta must lie in the closed unit disc")
+    if not _in_closed_disc(beta, tol):
+        raise BadParameter(f"beta must lie in the closed disc: {_band_miss('beta', beta, tol)}")
     return validate(Poly([beta, beta.conjugate()]), Poly([1.0]), 1, tol)
 
 
@@ -263,15 +262,14 @@ def superficial(
     tol: ToleranceConfig = DEFAULT_TOL,
 ) -> GammaInner:
     """The boundary-valued map (omega + conj(omega) p, p) over p = p_den~/p_den."""
-    omega = complex(omega)
-    if abs(abs(omega) - 1.0) > tol.eps_circle:
-        raise BadParameter("omega must be unimodular")
-    omega /= abs(omega)
+    unit = _unimodular(complex(omega), tol)
+    if unit is None:
+        raise BadParameter(f"omega must be unimodular: {_band_miss('omega', omega, tol)}")
     if m is None:
         m = p_den.degree
     if m < 1 or p_den.degree > m or p_den.is_zero():
         raise BadParameter("p_den must be nonzero with degree at most m >= 1")
     if _closed_disc_zero(p_den, tol) is not None:
         raise BadParameter("p_den must be zero-free on the closed disc")
-    e = omega * p_den + omega.conjugate() * conj_reciprocal(p_den, m)
+    e = unit * p_den + unit.conjugate() * conj_reciprocal(p_den, m)
     return validate(e, p_den, m, tol)

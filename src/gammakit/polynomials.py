@@ -20,7 +20,7 @@ from .errors import (
     PointOutOfRegion,
     ZeroPolynomial,
 )
-from .tolerances import DEFAULT_TOL, ToleranceConfig
+from .tolerances import DEFAULT_TOL, ToleranceConfig, _band_miss, _in_closed_disc, _unimodular
 
 _EPS = 2.220446049250313e-16
 _TRIM_REL = 1e-12
@@ -162,8 +162,9 @@ def q_factor(sigma: complex, tol: ToleranceConfig = DEFAULT_TOL) -> Poly:
     Requires sigma in the closed unit disc, up to ``eps_circle`` slack.
     """
     sigma = complex(sigma)
-    if abs(sigma) > 1.0 + tol.eps_circle:
-        raise PointOutOfRegion(f"|sigma| = {abs(sigma):.3g} lies outside the closed disc")
+    if not _in_closed_disc(sigma, tol):
+        miss = _band_miss("sigma", sigma, tol)
+        raise PointOutOfRegion(f"sigma lies outside the closed disc: {miss}")
     return Poly([-sigma, 1.0 + abs(sigma) ** 2, -sigma.conjugate()])
 
 
@@ -173,15 +174,14 @@ def l_factor(tau: complex, tol: ToleranceConfig = DEFAULT_TOL) -> Poly:
     theta is the principal argument of tau mapped into [0, 2 pi). tau is
     snapped to exact unit modulus; squaring the result gives ``q_factor(tau)``.
     """
-    tau = complex(tau)
-    if abs(abs(tau) - 1.0) > tol.eps_circle:
-        raise PointOutOfRegion(f"|tau| = {abs(tau):.3g} is not on the unit circle")
-    tau /= abs(tau)
-    theta = cmath.phase(tau)
+    unit = _unimodular(complex(tau), tol)
+    if unit is None:
+        raise PointOutOfRegion(f"tau is not on the unit circle: {_band_miss('tau', tau, tol)}")
+    theta = cmath.phase(unit)
     if theta < 0.0:
         theta += 2.0 * math.pi
     front = 1j * cmath.exp(-0.5j * theta)
-    return Poly([-front * tau, front])
+    return Poly([-front * unit, front])
 
 
 # -- root finding -----------------------------------------------------------
@@ -453,14 +453,14 @@ def _roots(f: Poly, tol: ToleranceConfig, keep: str | None = None):
     return tuple(sorted(clustered, key=lambda item: (item[0].real, item[0].imag)))
 
 
-def _closed_disc_roots(f: Poly, tol: ToleranceConfig) -> list[tuple[complex, int, bool]]:
-    """(root, multiplicity, on_circle) for f's computed roots in the closed disc, in order.
+def _closed_disc_roots(f: Poly, tol: ToleranceConfig) -> list[tuple[complex, int, complex | None]]:
+    """(root, multiplicity, unit) for f's computed roots in the closed disc, in order.
 
-    The plain band: |z| within eps_circle of 1 is the circle, below it the open disc. It
-    serves D and E, whose circle zeros may be simple, so parity cannot confirm them.
+    The plain band: unit is ``_unimodular(root)``, None in the open disc. It serves D and
+    E, whose circle zeros may be simple, so parity cannot confirm them.
     """
-    pairs = ((z, m, abs(z) - 1.0) for z, m in _roots(f, tol, keep="disc"))
-    return [(z, m, gap >= -tol.eps_circle) for z, m, gap in pairs if gap <= tol.eps_circle]
+    disc = ((z, m) for z, m in _roots(f, tol, keep="disc") if _in_closed_disc(z, tol))
+    return [(z, m, _unimodular(z, tol)) for z, m in disc]
 
 
 @dataclass
@@ -478,19 +478,19 @@ def partition_circle_roots(roots, f: Poly, tol: ToleranceConfig):
 
     The parity-aware classifier, for R and Fejer-Riesz symbols: lambda^-n
     times either is nonnegative on the circle, so their circle zeros have even
-    order (D and E take ``_closed_disc_roots``' plain band). Roots within
-    ``eps_circle`` of the unit circle are hard circle candidates; roots
-    within their estimated location uncertainty of the circle are soft
-    candidates. Candidates are merged angularly and a merged cluster counts
-    as a genuine circle zero only when its total order is even. An odd
-    cluster with a hard member raises ``OddCircleZero``; an odd soft cluster
-    falls back to its members' radial sides.
+    order (D and E take ``_closed_disc_roots``' plain band). Roots in the
+    circle band (``_unimodular``) are hard circle candidates; roots within
+    their estimated location uncertainty of the circle are soft candidates.
+    Candidates are merged angularly and a merged cluster counts as a genuine
+    circle zero only when its total order is even. An odd cluster with a
+    hard member raises ``OddCircleZero``; an odd soft cluster falls back to
+    its members' radial sides.
 
     Returns (circle, inside, outside) where circle holds (point, order)
     pairs with unimodular points and order the full (even) zero order.
     """
     # Soft candidates lie within 8 location uncertainties of the circle and within
-    # reach; testing reach first spares the far roots their uncertainty.
+    # reach; testing the band and reach first spares the other roots their uncertainty.
     reach = max(tol.eps_circle, _CIRCLE_REACH)
     ctx = _ClusterContext(f, eps_coeff=tol.eps_trim)
     candidates = []
@@ -499,10 +499,11 @@ def partition_circle_roots(roots, f: Poly, tol: ToleranceConfig):
     for z, m in roots:
         radius = abs(z)
         gap = abs(radius - 1.0)
+        hard = _unimodular(z, tol) is not None
         if radius == 0.0:
             inside.append((z, m))
-        elif gap <= reach and gap <= max(tol.eps_circle, 8.0 * ctx.location_uncertainty(z, m)):
-            candidates.append((z / radius, m, z, gap <= tol.eps_circle))
+        elif hard or gap <= reach and gap <= 8.0 * ctx.location_uncertainty(z, m):
+            candidates.append((z / radius, m, z, hard))
         elif radius > 1.0:
             outside.append((z, m))
         else:

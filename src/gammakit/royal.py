@@ -21,7 +21,7 @@ from .errors import OddCircleZero, OrderOverflow, RoyalVariety
 from .inner import GammaInner, _h_values
 from .polynomials import Poly, _roots, is_n_symmetric, partition_circle_roots
 from .spectral import circle_extrema, to_trig_shifted
-from .tolerances import DEFAULT_TOL, ToleranceConfig
+from .tolerances import DEFAULT_TOL, ToleranceConfig, _band_miss, _unimodular
 
 
 class NodeRegion(Enum):
@@ -137,11 +137,10 @@ def boundary_flatness(
     stop contaminating the leading-order model.
     """
     tol = tol or h.tol
-    tau = complex(tau)
-    if not abs(abs(tau) - 1.0) <= tol.eps_circle:
-        raise ValueError("tau must lie on the unit circle")
-    tau /= abs(tau)
-    t0 = cmath.phase(tau)
+    unit = _unimodular(complex(tau), tol)
+    if unit is None:
+        raise ValueError(f"tau must lie on the unit circle: {_band_miss('tau', tau, tol)}")
+    t0 = cmath.phase(unit)
 
     # Every offset the search below can reach: the base halves from 0.2 at
     # most 15 times, and five dyadic samples follow it. One batch covers all.

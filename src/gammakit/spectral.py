@@ -83,20 +83,12 @@ class TrigPoly:
         return max(map(abs, self.coeffs), default=0.0)
 
     def value(self, t: float) -> float:
-        return self._on_circle(cmath.exp(1j * t))
+        """f(e^{it}) by Horner on ``_angle_derivatives[0]``; one angle stays in Python arithmetic,
+        where numpy's overhead would dominate, and ``values`` maps an array of angles."""
+        return _horner(self._angle_derivatives[0], cmath.exp(1j * t)).real
 
     def values(self, ts) -> np.ndarray:
-        return self._on_circle(np.exp(1j * np.asarray(ts, dtype=float)))
-
-    def _on_circle(self, lam):
-        """f at unimodular lam: a float, or a float array shaped like lam.
-
-        ``polynomials._horner`` on the first of ``_angle_derivatives``. A
-        scalar lam stays in Python arithmetic, where numpy's per-call
-        overhead would dominate one Horner pass. Uniform grids go through
-        ``_grid_values`` instead.
-        """
-        return _horner(self._angle_derivatives[0], lam).real
+        return _horner(self._angle_derivatives[0], np.exp(1j * np.asarray(ts, dtype=float))).real
 
     @cached_property
     def _angle_derivatives(self) -> tuple[list, list, list]:
@@ -157,7 +149,7 @@ def to_trig_shifted(p: Poly, n: int, tol: ToleranceConfig = DEFAULT_TOL) -> Trig
 def _grid_values(halves, size: int) -> np.ndarray:
     """Values at the angles 2 pi m / size, m = 0 .. size - 1, from one real inverse FFT.
 
-    halves is one half spectrum a_0 .. a_n, as ``_on_circle`` reads it, or rows of them.
+    halves is one half spectrum a_0 .. a_n, as ``TrigPoly.value`` reads it, or rows of them.
     The grid carries no aliasing once size >= 2n + 1, so the values are exact up to rounding.
     """
     return np.fft.irfft(halves, size, norm="forward")

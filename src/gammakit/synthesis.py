@@ -44,7 +44,7 @@ from .spectral import (
     to_trig_modulus_squared,
     to_trig_shifted,
 )
-from .tolerances import DEFAULT_TOL, ToleranceConfig
+from .tolerances import DEFAULT_TOL, ToleranceConfig, _band_miss, _in_closed_disc, _unimodular
 
 
 @dataclass(frozen=True)
@@ -69,21 +69,18 @@ class SynthesisSpec:
     def __post_init__(self):
         tol = self.tol
         alphas = tuple(complex(a) for a in self.alphas)
-        taus = []
-        for tval in self.taus:
-            tval = complex(tval)
-            if not abs(abs(tval) - 1.0) <= tol.eps_circle:
-                raise BadSpec(f"tau = {tval:.6g} is not on the unit circle")
-            taus.append(tval / abs(tval))
-        sigmas = []
-        for sig in self.sigmas:
-            sig = complex(sig)
-            mod = abs(sig)
-            if not mod <= 1.0 + tol.eps_circle:
-                raise BadSpec(f"sigma = {sig:.6g} lies outside the closed disc")
-            if abs(mod - 1.0) <= tol.eps_circle:
-                sig /= mod
-            sigmas.append(sig)
+        taus = [complex(u) for u in self.taus]
+        sigmas = [complex(s) for s in self.sigmas]
+        for u in taus:
+            if _unimodular(u, tol) is None:
+                miss = _band_miss("tau", u, tol)
+                raise BadSpec(f"tau = {u:.6g} is not on the unit circle: {miss}")
+        for s in sigmas:
+            if not _in_closed_disc(s, tol):
+                miss = _band_miss("sigma", s, tol)
+                raise BadSpec(f"sigma = {s:.6g} lies outside the closed disc: {miss}")
+        taus = [_unimodular(u, tol) for u in taus]
+        sigmas = [_unimodular(s, tol) or s for s in sigmas]  # the band's sigmas snap to the circle
 
         for a in alphas:
             if not abs(a) < 1.0:
@@ -169,9 +166,9 @@ def recover_spec(h: GammaInner, tol: ToleranceConfig | None = None) -> Synthesis
 
     alphas = []
     taus = []
-    for z, m, on_circle in _closed_disc_roots(h.E, tol):
-        if on_circle:
-            taus.extend([z / abs(z)] * m)
+    for z, m, unit in _closed_disc_roots(h.E, tol):
+        if unit is not None:
+            taus.extend([unit] * m)
         else:
             alphas.extend([z] * m)
 

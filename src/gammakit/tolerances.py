@@ -11,7 +11,7 @@ class ToleranceConfig:
 
     eps_trim : relative coefficient noise level (see below)
     eps_root : root residual target, also drives multiplicity clustering
-    eps_circle : half-width of the annulus classed as "on the unit circle"
+    eps_circle : half-width of the circle band ||z| - 1| <= eps_circle (below)
     eps_residual : tolerance for verifying polynomial identities
     circle_samples : default sampling density on the unit circle
 
@@ -20,6 +20,11 @@ class ToleranceConfig:
     circle roots and ``eval_h``'s pole test; it zeroes no coefficient. Nor
     does it reach ``Poly`` construction: every ``Poly`` trims trailing
     coefficients below 1e-12 times its largest one (ROADMAP defect D).
+
+    Every point test reads the band through ``_unimodular`` and ``_in_closed_disc``
+    (|z| - 1 <= eps_circle); NaN is in neither. eps_circle is read elsewhere only as
+    ``_closed_disc_zero``'s radius 1 + eps_circle, the root partition's reach
+    max(eps_circle, 1e-4) and ``SynthesisSpec``'s least sigma-tau distance.
     """
 
     eps_trim: float = 1e-12
@@ -42,3 +47,19 @@ class ToleranceConfig:
 
 
 DEFAULT_TOL = ToleranceConfig()
+
+
+def _unimodular(z: complex, tol: ToleranceConfig) -> complex | None:
+    """z / |z| when z lies in the circle band, ||z| - 1| <= ``eps_circle``; else None."""
+    mod = abs(z)
+    return z / mod if abs(mod - 1.0) <= tol.eps_circle else None
+
+
+def _in_closed_disc(z: complex, tol: ToleranceConfig) -> bool:
+    """True when |z| - 1 <= ``eps_circle``: z lies in the closed disc or its circle band."""
+    return abs(z) - 1.0 <= tol.eps_circle
+
+
+def _band_miss(name: str, z: complex, tol: ToleranceConfig) -> str:
+    """What a failed band test reports: ||z| - 1| and ``eps_circle``."""
+    return f"||{name}| - 1| = {abs(abs(z) - 1.0):.3e}; eps_circle = {tol.eps_circle:.3g}"

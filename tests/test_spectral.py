@@ -454,7 +454,7 @@ def test_trig_constructors_still_reject_bad_input(half, data):
 )
 def test_grid_values_match_pointwise_values(half, skew, rule):
     # skew moves a_{-n} .. a_0 within the constructor's Hermitian tolerance 1e-12 (1 + max);
-    # the real transform, like _on_circle, reads a_0 .. a_n only (and Re a_0).
+    # the real transform, like TrigPoly.value, reads a_0 .. a_n only (and Re a_0).
     f = TrigPoly.from_half_spectrum(half)
     coeffs = list(f.coeffs)
     for k, d in enumerate(skew[: f.n + 1]):
