@@ -213,6 +213,8 @@ def from_inner_pair(
     for name, (num, den, deg_bound) in (("phi", phi), ("psi", psi)):
         if deg_bound < 0 or den.is_zero():
             raise NotInner(f"{name}: invalid Blaschke data")
+        if max(num.degree, den.degree) > deg_bound:
+            raise NotInner(f"{name}: a polynomial's degree exceeds the bound {deg_bound}")
         mirror = conj_reciprocal(den, deg_bound)
         gap = max(
             abs(a - b)
@@ -248,10 +250,11 @@ def h_nu(nu: int, r: float, tol: ToleranceConfig = DEFAULT_TOL) -> GammaInner:
 
 
 def geodesic(beta: complex, tol: ToleranceConfig = DEFAULT_TOL) -> GammaInner:
-    """The degree-one map (beta + conj(beta) lambda, lambda) for |beta| <= 1."""
+    """The degree-one map (beta + conj(beta) lambda, lambda) for |beta| <= 1, band snapped."""
     beta = complex(beta)
     if not _in_closed_disc(beta, tol):
         raise BadParameter(f"beta must lie in the closed disc: {_band_miss('beta', beta, tol)}")
+    beta = _unimodular(beta, tol) or beta
     return validate(Poly([beta, beta.conjugate()]), Poly([1.0]), 1, tol)
 
 

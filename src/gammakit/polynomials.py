@@ -1,8 +1,8 @@
 """Complex polynomial arithmetic, the conjugate-reciprocal involution and roots.
 
 Polynomials are dense coefficient sequences in ascending power order. All
-operations are pure; every returned polynomial is normalized so that the
-trailing coefficient is significant relative to the largest one.
+operations are pure; every returned polynomial is normalized by one rule:
+exact trailing zeros go, and no nonzero coefficient is ever dropped.
 """
 
 from __future__ import annotations
@@ -23,24 +23,22 @@ from .errors import (
 from .tolerances import DEFAULT_TOL, ToleranceConfig, _band_miss, _in_closed_disc, _unimodular
 
 _EPS = 2.220446049250313e-16
-_TRIM_REL = 1e-12
 
 
 @dataclass(frozen=True, init=False)
 class Poly:
     """A complex polynomial; ``coeffs[i]`` multiplies ``lambda**i``.
 
-    The zero polynomial is the empty tuple. Construction trims trailing
-    coefficients whose modulus is below ``eps_trim`` times the largest
-    coefficient modulus, keeping degrees honest after cancellation, and
-    raises :class:`BadParameter` for an infinite or NaN coefficient.
+    The zero polynomial is the empty tuple. Construction drops trailing
+    coefficients that are exactly zero, however small the nonzero ones are,
+    and raises :class:`BadParameter` for an infinite or NaN coefficient.
     """
 
     coeffs: tuple[complex, ...]
 
-    def __init__(self, coeffs=(), eps_trim: float = _TRIM_REL):
+    def __init__(self, coeffs=()):
         cs = tuple(list(map(complex, coeffs)))  # tuple(map)'s resizing fills tuple free lists
-        object.__setattr__(self, "coeffs", _normalized(cs, eps_trim))
+        object.__setattr__(self, "coeffs", _normalized(cs))
 
     # -- basic queries ------------------------------------------------------
 
@@ -97,20 +95,18 @@ def _check_finite(mags, what: str = "polynomial") -> None:
         raise BadParameter(f"{what} coefficients must be finite")
 
 
-def _normalized(cs, eps_trim: float = _TRIM_REL):
+def _normalized(cs):
     """Slice of the complex sequence cs that ``Poly.__init__`` keeps: non-finite entries
-    raise, trailing moduli at most ``eps_trim`` times the largest are trimmed."""
-    mags = list(map(abs, cs))
-    _check_finite(mags)
-    cutoff = eps_trim * max(mags, default=0.0)
+    raise, and trailing exact zeros (either sign in either part) go; nothing else does."""
+    _check_finite(list(map(abs, cs)))
     end = len(cs)
-    while end > 0 and mags[end - 1] <= cutoff:
+    while end > 0 and not cs[end - 1]:
         end -= 1
     return cs[:end]
 
 
 def _convolve(a, b) -> list[complex]:
-    """Untrimmed product coefficients of two coefficient sequences (zeros if one is empty)."""
+    """Unnormalized product coefficients of two coefficient sequences (zeros if one is empty)."""
     out = [0j] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         for j, y in enumerate(b):
@@ -225,7 +221,7 @@ class _ClusterContext:
 
     ``eps_coeff`` declares the relative uncertainty the coefficients carry
     from upstream arithmetic (for example the cancellation in 4 D D~ - E^2);
-    the trimming threshold is the natural level. Differentiation scales each
+    the tolerance's coefficient noise is the natural level. Differentiation scales each
     coefficient linearly, so the relative noise survives it.
     """
 
@@ -237,7 +233,7 @@ class _ClusterContext:
         """The j-th derivative's coefficients, or None past the constant one.
 
         The ladder is built on first use: polishing simple roots needs only
-        f and f'. Trimming as in ``Poly.derivative`` can end it early.
+        f and f'. Rungs keep ``Poly``'s exact-zero rule, under which none is shortened.
         """
         while j >= len(self._derivs):
             if len(self._derivs[-1]) <= 1:
@@ -543,7 +539,7 @@ def partition_circle_roots(roots, f: Poly, tol: ToleranceConfig):
 
 
 def poly_from_roots(roots, lead: complex = 1.0) -> Poly:
-    """Expand ``lead * prod (lambda - r)`` over (root, multiplicity) pairs, trimming once."""
+    """Expand ``lead * prod (lambda - r)`` over (root, multiplicity) pairs, normalized once."""
     acc = [complex(lead)]
     for z, m in roots:
         for _ in range(m):

@@ -96,13 +96,13 @@ class TrigPoly:
 
         Hermitian symmetry gives f(t) = Re(a_0 + 2 sum_{k>=1} a_k e^{ikt}),
         and each t-derivative multiplies a_k by ik. Each list is normalized
-        as ``Poly(..., eps_trim=0.0)`` normalizes: exact trailing zeros go.
+        as ``Poly`` normalizes: exact trailing zeros go, and nothing else.
         """
         half = [self.coeffs[self.n]] + [2.0 * c for c in self.coeffs[self.n + 1 :]]
         return (
-            _normalized(half, 0.0),
-            _normalized([1j * k * c for k, c in enumerate(half)], 0.0),
-            _normalized([-k * k * c for k, c in enumerate(half)], 0.0),
+            _normalized(half),
+            _normalized([1j * k * c for k, c in enumerate(half)]),
+            _normalized([-k * k * c for k, c in enumerate(half)]),
         )
 
     @classmethod

@@ -28,7 +28,6 @@ from .polynomials import (
     Poly,
     _closed_disc_roots,
     _convolve,
-    _normalized,
     l_factor,
     poly_from_roots,
     q_factor,
@@ -118,13 +117,14 @@ class SynthesisSpec:
 
 
 def build_re(spec: SynthesisSpec) -> tuple[Poly, Poly]:
-    """t+ prod Q_sigma (the royal polynomial) and the n-symmetric E, equal to ``Poly`` products."""
+    """t+ prod Q_sigma (the royal polynomial) and the n-symmetric E, equal to ``Poly`` products:
+    each is normalized once, at the end, where only exact trailing zeros go."""
     tol = spec.tol
     r, e = [complex(spec.t_plus)], [complex(spec.t)]
     for sig in spec.sigmas:
-        r = _normalized(_convolve(r, q_factor(sig, tol).coeffs))
+        r = _convolve(r, q_factor(sig, tol).coeffs)
     for factor in [q_factor(a, tol) for a in spec.alphas] + [l_factor(u, tol) for u in spec.taus]:
-        e = _normalized(_convolve(e, factor.coeffs))
+        e = _convolve(e, factor.coeffs)
     return Poly(r), Poly(e)
 
 

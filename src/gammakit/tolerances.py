@@ -15,11 +15,10 @@ class ToleranceConfig:
     eps_residual : tolerance for verifying polynomial identities
     circle_samples : default sampling density on the unit circle
 
-    ``eps_trim`` acts only in ``royal_polynomial``'s :class:`RoyalVariety`
+    ``eps_trim`` keeps four roles: ``royal_polynomial``'s :class:`RoyalVariety`
     test, the root clusterer's coefficient noise, the location uncertainty of
-    circle roots and ``eval_h``'s pole test; it zeroes no coefficient. Nor
-    does it reach ``Poly`` construction: every ``Poly`` trims trailing
-    coefficients below 1e-12 times its largest one (ROADMAP defect D).
+    circle roots and ``eval_h``'s pole test. It zeroes no coefficient; ``Poly``
+    construction drops exact trailing zeros only.
 
     Every point test reads the band through ``_unimodular`` and ``_in_closed_disc``
     (|z| - 1 <= eps_circle); NaN is in neither. eps_circle is read elsewhere only as

@@ -10,7 +10,9 @@ import sys
 import numpy as np
 from hypothesis import settings, strategies as st
 
-from gammakit import Poly, SynthesisSpec
+from gammakit import (
+    GammaKitError, Poly, SynthesisSpec, recover_spec, royal_profile, synthesize,
+)
 
 # Bit-for-bit properties: reproducible draws, and coefficients with finite parts where
 # both signed zeros are drawn often.
@@ -109,6 +111,25 @@ def degree_sweep(n: int, draws: int = 20) -> tuple[tuple[int, SynthesisSpec], ..
         except RuntimeError:
             found.append((len(found), None))
     return tuple((index, spec) for index, spec in found[:draws] if spec is not None)
+
+
+def circle_count(spec: SynthesisSpec) -> int:
+    """The number of the spec's sigmas on the unit circle: k of its type (n, k)."""
+    return sum(abs(abs(sigma) - 1.0) <= 1e-12 for sigma in spec.sigmas)
+
+
+def sweep_outcome(spec: SynthesisSpec) -> str:
+    """The pipeline's answer to a sweep spec: "right" when ``synthesize``, ``royal_profile``
+    and ``recover_spec`` give the spec's type and every sigma within 1e-6, "raised" on a
+    ``GammaKitError``, and "silent" otherwise."""
+    try:
+        h = synthesize(spec)
+        found = royal_profile(h).type_pair
+        sigmas = recover_spec(h).sigmas
+    except GammaKitError:
+        return "raised"
+    right = found == (spec.n, circle_count(spec)) and same_multiset(sigmas, spec.sigmas, 1e-6)
+    return "right" if right else "silent"
 
 
 def circle_points(count: int):

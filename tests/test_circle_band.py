@@ -15,7 +15,6 @@ import pytest
 from gammakit import (
     BadParameter,
     BadSpec,
-    ConditionFailed,
     NotOnTorusFiber,
     Poly,
     PointOutOfRegion,
@@ -38,14 +37,6 @@ def _spec(tol, taus=(-1.0,), sigmas=(0.0,)):
     return SynthesisSpec((), taus, sigmas, t_plus=1.0, t=1.0, omega=1.0, tol=tol)
 
 
-def _geodesic(beta, tol):
-    """``geodesic`` past its band test: a beta outside the circle then makes |s| > 2."""
-    try:
-        return geodesic(beta, tol)
-    except ConditionFailed as exc:
-        assert abs(beta) > 1.0 and exc.failed == ("iv",)
-
-
 # site: (wants the circle, error, name in the message, run(z, tol), stored point or None)
 SITES = {
     "q_factor": (False, PointOutOfRegion, "sigma", q_factor, None),
@@ -54,7 +45,7 @@ SITES = {
     "spec_sigma": (
         False, BadSpec, "sigma", lambda z, tol: _spec(tol, sigmas=(z,)), lambda s: s.sigmas[0],
     ),
-    "geodesic": (False, BadParameter, "beta", _geodesic, None),
+    "geodesic": (False, BadParameter, "beta", geodesic, lambda h: h.E.coeffs[0]),
     "superficial": (
         True, BadParameter, "omega", lambda z, tol: superficial(z, Poly([1.0]), 1, tol),
         lambda h: h.E.coeffs[0],

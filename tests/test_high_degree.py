@@ -11,7 +11,6 @@ from pathlib import Path
 import pytest
 
 from gammakit import (
-    GammaKitError,
     parse_gamma_inner,
     parse_spec,
     recover_spec,
@@ -19,13 +18,9 @@ from gammakit import (
     synthesize,
 )
 
-from helpers import degree_sweep, same_multiset
+from helpers import circle_count, degree_sweep, same_multiset, sweep_outcome
 
 DATA = Path(__file__).parent / "data"
-
-
-def _circle_count(spec) -> int:
-    return sum(abs(abs(sigma) - 1.0) <= 1e-12 for sigma in spec.sigmas)
 
 
 def test_rounded_true_map_at_degree_32_recovers_every_sigma():
@@ -72,16 +67,38 @@ def test_rounded_true_map_at_degree_32_recovers_every_sigma():
     h = parse_gamma_inner((DATA / "true_map_n32.json").read_text())
     spec = parse_spec((DATA / "true_map_n32_spec.json").read_text())
     assert spec == degree_sweep(32, 2)[1][1]
-    assert royal_profile(h).type_pair == (32, _circle_count(spec))
+    assert royal_profile(h).type_pair == (32, circle_count(spec))
     assert same_multiset(recover_spec(h).sigmas, spec.sigmas, 1e-6)
 
 
-@pytest.mark.parametrize("n, draw", [(32, 10), (32, 18), (48, 8)])
+def test_spec_of_the_true_map_at_degree_32_synthesizes_in_doubles():
+    # A relative trim once dropped R's top coefficient (6.9e-13 of its peak) but not its
+    # mirror, the constant term, and a sigma came back 0.048 off.
+    assert sweep_outcome(parse_spec((DATA / "true_map_n32_spec.json").read_text())) == "right"
+
+
+# Miss allowed per draw. Each draw once returned the spec's type with a sigma 0.27 to 0.37
+# from every found one, and later raised instead. Since polynomials drop only exact zeros,
+# both n = 32 draws are right; the n = 48 draw misses one sigma by 2.1e-5, which
+# test_high_degree_sweep_draw_48_8_is_right_or_raises holds against 1e-6.
+_SWEEP_MISS = {(32, 10): 1e-6, (32, 18): 1e-6, (48, 8): 1e-4}
+
+
+@pytest.mark.parametrize("n, draw", list(_SWEEP_MISS))
 def test_high_degree_sweep_draw_raises_instead_of_missing_sigma(n, draw):
-    # Each once returned the spec's type, with a spec sigma 0.27 to 0.37 from every found one.
     spec = dict(degree_sweep(n, draw + 1))[draw]
-    with pytest.raises(GammaKitError):
-        recover_spec(synthesize(spec))
+    h = synthesize(spec)
+    assert royal_profile(h).type_pair == (n, circle_count(spec))
+    assert same_multiset(recover_spec(h).sigmas, spec.sigmas, _SWEEP_MISS[n, draw])
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="known defect (ROADMAP item 15): degree_sweep(48) draw 8 returns its type (48, 0) "
+    "with a sigma 2.1e-5 off, and no error bar says so",
+)
+def test_high_degree_sweep_draw_48_8_is_right_or_raises():
+    assert sweep_outcome(dict(degree_sweep(48, 9))[8]) != "silent"
 
 
 @pytest.mark.xfail(
@@ -92,11 +109,4 @@ def test_high_degree_sweep_draw_raises_instead_of_missing_sigma(n, draw):
 def test_degree_sweep_is_right_or_raises():
     for n in (16, 24, 32, 48):
         for draw, spec in degree_sweep(n):
-            try:
-                h = synthesize(spec)
-                found = royal_profile(h).type_pair
-                sigmas = recover_spec(h).sigmas
-            except GammaKitError:
-                continue
-            assert found == (n, _circle_count(spec)), (n, draw)
-            assert same_multiset(sigmas, spec.sigmas, 1e-6), (n, draw)
+            assert sweep_outcome(spec) != "silent", (n, draw)

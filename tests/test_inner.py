@@ -229,6 +229,19 @@ def test_from_inner_pair_rejects_non_inner():
         from_inner_pair(mismatched, (Poly([1]), Poly([1]), 0))
 
 
+def test_from_inner_pair_rejects_a_numerator_above_its_degree_bound():
+    # Its coefficient 0.01 at lambda^2 lies past the reflection the Blaschke check compares.
+    high = (Poly([0.5, 1, 0.01]), Poly([1, 0.5]), 1)
+    with pytest.raises(NotInner, match="^phi: "):
+        from_inner_pair(high, (Poly([0.3, 1]), Poly([1, 0.3]), 1))
+
+
+def test_from_inner_pair_rejects_a_denominator_above_its_degree_bound():
+    high = (Poly([0.5, 1]), Poly([1, 0.5, 0.01]), 1)
+    with pytest.raises(NotInner, match="^psi: "):
+        from_inner_pair((Poly([0.3, 1]), Poly([1, 0.3]), 1), high)
+
+
 def test_canonical_examples():
     h = h_nu(0, 0.5)
     assert h.E.coeffs == (0, 1) and h.D.coeffs == (1, 0.5) and h.n == 2

@@ -41,11 +41,19 @@ def test_add_mul_eval():
     assert Poly([2, 0, 1])(1j) == pytest.approx(1.0)
 
 
-def test_normalization_trims_trailing_noise():
-    p = Poly([1.0, 2.0, 1e-15])
-    assert p.degree == 1
+def test_normalization_drops_only_exact_trailing_zeros():
+    assert Poly([1, 2, 1e-15]).degree == 2
+    assert Poly([1e300, 1e-290]).degree == 1
+    for zero in (0j, -0j, complex(-0.0, 0.0), complex(0.0, -0.0)):
+        assert Poly([1, 2, zero]).coeffs == (1, 2)
     assert Poly([0.0, 0.0]).is_zero()
-    assert Poly([1e-20, 1e-20]).degree == 1  # uniformly tiny stays
+    assert Poly([1e-20, 1e-20]).degree == 1
+
+
+def test_q_factor_keeps_a_tiny_sigma_in_its_top_coefficient():
+    # Defect D: a relative trim once dropped the top -conj(sigma) and kept its mirror -sigma.
+    q = q_factor(1e-13)
+    assert q.degree == 2 and q.coeffs[2] == -1e-13
 
 
 def test_scalar_multiplication_and_sub():
@@ -414,8 +422,8 @@ _POINTS = st.builds(complex, st.floats(-1.5, 1.5), st.floats(-1.5, 1.5))
 @given(st.lists(COEFFS, max_size=7), _TRAILING_ZEROS, _POINTS, st.lists(_POINTS, max_size=4))
 def test_horner_on_lists_matches_poly_bit_for_bit(cs, zeros, z, zs):
     cs = cs + zeros
-    kept = _normalized(cs, 0.0)
-    poly = Poly(cs, eps_trim=0.0)
+    kept = _normalized(cs)
+    poly = Poly(cs)
     assert same_bits(kept, poly.coeffs)
     for point in (z, np.array(zs, dtype=complex)):
         value = _horner(kept, point)
@@ -454,4 +462,4 @@ def test_non_finite_coefficients_still_raise(cs, data):
     with pytest.raises(BadParameter, match="polynomial coefficients must be finite"):
         Poly(cs)
     with pytest.raises(BadParameter, match="polynomial coefficients must be finite"):
-        _normalized(cs, 0.0)
+        _normalized(cs)

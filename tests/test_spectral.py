@@ -391,9 +391,9 @@ def test_from_half_spectrum_passes_the_validating_constructor(half):
     assert checked == f and same_bits(checked.coeffs, f.coeffs)
     doubled = [expected[0]] + [2.0 * c for c in expected[1:]]
     rungs = (
-        Poly(doubled, eps_trim=0.0),
-        Poly([1j * k * c for k, c in enumerate(doubled)], eps_trim=0.0),
-        Poly([-k * k * c for k, c in enumerate(doubled)], eps_trim=0.0),
+        Poly(doubled),
+        Poly([1j * k * c for k, c in enumerate(doubled)]),
+        Poly([-k * k * c for k, c in enumerate(doubled)]),
     )
     for found, rung in zip(f._angle_derivatives, rungs):
         assert same_bits(found, rung.coeffs)

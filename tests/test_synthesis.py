@@ -183,6 +183,14 @@ def test_recover_spec_geodesic_i():
     assert abs(rec.t) == pytest.approx(1.0)
 
 
+def test_recover_spec_keeps_a_tiny_disc_sigma():
+    # Defect D: a relative trim dropped q_factor(1e-13)'s top coefficient but kept its
+    # mirror, and sigma came back as 5.0e-14.
+    spec = SynthesisSpec(alphas=(), taus=(1j,), sigmas=(1e-13,), t_plus=1.0, t=1.0, omega=1.0)
+    (sigma,) = recover_spec(synthesize(spec)).sigmas
+    assert abs(sigma - 1e-13) <= 1e-15
+
+
 def _assert_resynthesis_matches(h, rec):
     """synthesize(rec) equals h up to a nonzero real scalar."""
     h2 = synthesize(rec)
