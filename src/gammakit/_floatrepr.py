@@ -45,19 +45,21 @@ _EXPONENTS = np.array([list(f"e{x:+03},".encode()[:5]) for x in range(-324, 309)
 _LOCAL = threading.local()
 
 
-def repr_blocks(values: np.ndarray, width: int):
-    """Yield the repr of each float64, ',' between and '\\n' after each width, by row blocks."""
+def repr_blocks(values: np.ndarray, width: int, head: bytes):
+    """Yield the repr of each float64, ',' between and '\\n' after each width, by row blocks;
+    the first block's text starts with the ASCII head."""
     step = width * 1024  # rows per block, which bounds the workspace
     size = min(values.size, step)
     # The thread's workspace is taken while it renders, so a call re-entered meanwhile (say,
     # from a finalizer) finds none and makes its own: 13 rows of 64-bit words, 8 of flags or
-    # bytes, and the text, at most 24 characters and a separator per value, and an overrun.
+    # bytes, and the text: the head, at most 25 bytes per value with its separator, an overrun.
     ws, _LOCAL.ws = getattr(_LOCAL, "ws", None), None
-    if ws is None or ws[0].shape[1] < size:
-        ws = np.empty((13, size), _U), np.empty((8, size), bool), np.empty(25 * size + 18, np.uint8)
+    text = len(head) + 25 * size + 18
+    if ws is None or ws[0].shape[1] < size or ws[2].size < text:
+        ws = np.empty((13, size), _U), np.empty((8, size), bool), np.empty(text, np.uint8)
     try:
         for lo in range(0, values.size, step):
-            yield _render(values[lo:lo + step], width, *ws)
+            yield _render(values[lo:lo + step], width, *ws, head if lo == 0 else b"")
     finally:
         _LOCAL.ws = ws
 
@@ -138,7 +140,7 @@ def _shortest(bits, w, f):
     return s, k
 
 
-def _render(values, width, words, flags, text):
+def _render(values, width, words, flags, text, head):
     size = values.size
     w, f = words[:, :size], flags[:, :size]
     d, point = _shortest(values.view(_U), w, f)
@@ -198,7 +200,7 @@ def _render(values, width, words, flags, text):
     np.copyto(length, e_len, where=expo)
     np.add(np.add(length, neg, out=length), lead, out=length)
     np.cumsum(np.add(length, 1, out=sep), out=sep)
-    sep -= 1
+    sep += len(head) - 1
     np.add(np.subtract(sep, length, out=base), neg, out=base)
     base += lead  # where each value's first digit goes
     exp_at = np.flatnonzero(expo)
@@ -219,8 +221,10 @@ def _render(values, width, words, flags, text):
         idx -= np.equal(dot, j, out=b)
     buf[np.add(base, dot, out=idx)] = ord(".")
     # '-' at the start of a negative value's text, and onto the separator before any other
-    # value (buf[-1] for the first), which the separators written below overwrite.
+    # value (for the first, the head's last byte or buf[-1]), which the separators and the
+    # head written below overwrite.
     buf[np.subtract(np.subtract(base, lead, out=idx), 1, out=idx)] = ord("-")
+    buf[:len(head)] = np.frombuffer(head, np.uint8)
     for i, row in enumerate(_EXPONENTS):
         buf[i:][at] = np.take(row, column, out=f[7].view(np.uint8)[:m], mode="clip")
     buf[sep] = ord(",")

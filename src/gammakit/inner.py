@@ -126,22 +126,22 @@ def validate(
 
 
 def _with_numerator(
-    h: GammaInner, e: Poly, tol: ToleranceConfig | None = None
+    h: GammaInner, e: Poly, tol: ToleranceConfig | None = None, minimum=None
 ) -> GammaInner:
     """``validate(e, h.D, h.n, tol, strict=h.strict)`` without solving D again.
 
-    Conditions (i), (ii) and (iv) involve E and run on e; (iv) reuses h's
-    |D|^2. Condition (iii) and the circle-zero count depend only on D, tol
-    and strict, which h shares, so they are taken from h. A ``tol`` other
-    than ``h.tol`` runs the full :func:`validate`.
+    Conditions (i), (ii) and (iv) involve E and run on e; (iv) reuses h's |D|^2, or takes
+    ``minimum``, the (value, angle, largest coefficient) of e's gap from a witness trial.
+    (iii) and the circle-zero count depend only on D, tol and strict, which h shares, so
+    they are taken from h. A ``tol`` other than ``h.tol`` runs :func:`validate`.
     """
     if tol is not None and tol != h.tol:
         return validate(e, h.D, h.n, tol, strict=h.strict)
-    return _checked(e, h.D, h.n, h.tol, h.strict, None, h.d_circle_zeros, h.d_power)
+    return _checked(e, h.D, h.n, h.tol, h.strict, None, h.d_circle_zeros, h.d_power, minimum)
 
 
-def _checked(e, d, n, tol, strict, d_failure, circle_zeros, d_power) -> GammaInner:
-    """Conditions (i), (ii) and (iv) around D's (iii) failure message, if any."""
+def _checked(e, d, n, tol, strict, d_failure, circle_zeros, d_power, minimum=None) -> GammaInner:
+    """Conditions (i), (ii) and (iv) (from ``minimum`` if given) around D's (iii) failure."""
     details = {}
     if e.degree > n or d.degree > n:
         details["i"] = f"deg E = {e.degree}, deg D = {d.degree} exceed n = {n}"
@@ -154,9 +154,9 @@ def _checked(e, d, n, tol, strict, d_failure, circle_zeros, d_power) -> GammaInn
 
     h = GammaInner(E=e, D=d, n=n, tol=tol, strict=strict, d_circle_zeros=circle_zeros)
     h.__dict__["d_power"] = d_power  # seeds the cached property: maps sharing D share |D|^2
-    min_val, arg_min = circle_extrema(h.gap, tol.circle_samples)
-    slack = tol.eps_residual * (1.0 + h.gap.max_coeff)
-    if min_val < -slack:
+    extrema = minimum or (*circle_extrema(h.gap, tol.circle_samples), h.gap.max_coeff)
+    min_val, arg_min, scale = extrema
+    if min_val < -tol.eps_residual * (1.0 + scale):
         details["iv"] = (
             f"4|D|^2 - |E|^2 reaches {min_val:.3e} at angle {arg_min:.6f}"
         )

@@ -251,4 +251,5 @@ def trace_to_csv(rows) -> str:
         values = None
     if values is None or np.isnan(values).any():
         values = np.fromiter(map(float, fields(rows)), float, count)
-    return "".join([TRACE_HEADER + "\n", *repr_blocks(values, width)])
+    head = TRACE_HEADER + "\n"  # one block's text is returned as it is, without a copy
+    return "".join(repr_blocks(values, width, head.encode())) if rows else head

@@ -157,6 +157,10 @@ def recover_spec(h: GammaInner, tol: ToleranceConfig | None = None) -> Synthesis
     """
     tol = tol or h.tol
     profile = royal_profile(h, tol)
+    if profile.n != h.degree:  # a node miscounted: no spec of either degree would be right
+        raise GammaKitError(
+            f"the royal profile counts {profile.n} nodes but the map has degree {h.degree}"
+        )
     sigmas = []
     for node in profile.nodes:
         sigmas.extend([node.location] * node.multiplicity)
@@ -247,9 +251,9 @@ def witness_non_extreme(
     u = +-t is ``_admissible``, an estimate, not a certified bound (ROADMAP
     defect C). The start skips only sizes that the grid test rejects, so t is
     the one a halving from 1 returns; no t below 2^-59 is tried.
-    h+ and h- are then validated by ``_with_numerator``, which shares D,
-    tol and strict with h and checks the conditions involving E, (iv)
-    included, on E +- t g itself.
+    h+ and h- are then validated by ``_with_numerator``, which shares D, tol and strict
+    with h, checks (i) and (ii) on E +- t g and (iv) on the accepting trial's minimum:
+    the pencil at +-t is that gap up to rounding, and it cleared half of (iv)'s slack.
     """
     tol = tol or h.tol
     profile = royal_profile(h, tol)
@@ -275,13 +279,16 @@ def witness_non_extreme(
 
     t_step = _first_step(grids, slack)
     while t_step >= 2.0**-59:  # the 60th size of a halving from 1
-        if all(_admissible(halves, grids, u, tol) for u in (t_step, -t_step)):
+        plus = _admissible(halves, grids, t_step, tol)
+        minus = plus and _admissible(halves, grids, -t_step, tol)  # -t only after +t passes
+        if minus:
             break
         t_step *= 0.5
     else:
         raise GammaKitError("no admissible perturbation size found in 60 halvings")
 
-    h_plus, h_minus = (_with_numerator(h, h.E + u * g, tol) for u in (t_step, -t_step))
+    h_plus = _with_numerator(h, h.E + t_step * g, tol, plus)
+    h_minus = _with_numerator(h, h.E + -t_step * g, tol, minus)
     return t_step, h_plus, h_minus
 
 
@@ -299,17 +306,19 @@ def _first_step(grids, slack: float) -> float:
     return 1.0
 
 
-def _admissible(halves, grids, u: float, tol: ToleranceConfig) -> bool:
-    """Whether the pencil's circle minimum at u clears -0.5 eps_residual (1 + max coefficient).
+def _admissible(halves, grids, u: float, tol: ToleranceConfig):
+    """(minimum, angle, scale) of the pencil at u when its refined circle minimum clears
+    -0.5 eps_residual (1 + scale), scale its largest coefficient; None when it does not.
 
     Sums in ``TrigPoly.lincomb``'s order; builds the TrigPoly only to refine a passing grid."""
     half = halves[0] + (-u) * halves[1] + (-u * u) * halves[2]
-    floor = -0.5 * tol.eps_residual * (1.0 + float(np.abs(half).max()))
+    scale = float(np.abs(half).max())
+    floor = -0.5 * tol.eps_residual * (1.0 + scale)
     values = grids[0] - u * grids[1] - (u * u) * grids[2]
     if float(values.min()) < floor:
-        return False
-    min_val, _ = _refine_minimum(TrigPoly.from_half_spectrum(half), values)
-    return not min_val < floor
+        return None
+    min_val, arg_min = _refine_minimum(TrigPoly.from_half_spectrum(half), values)
+    return None if min_val < floor else (min_val, arg_min, scale)
 
 
 def convex_combine(h1: GammaInner, h2: GammaInner, t: float) -> GammaInner:

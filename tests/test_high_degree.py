@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from gammakit import (
+    GammaKitError,
     parse_gamma_inner,
     parse_spec,
     recover_spec,
@@ -90,6 +91,14 @@ def test_high_degree_sweep_draw_raises_instead_of_missing_sigma(n, draw):
     h = synthesize(spec)
     assert royal_profile(h).type_pair == (n, circle_count(spec))
     assert same_multiset(recover_spec(h).sigmas, spec.sigmas, _SWEEP_MISS[n, draw])
+
+
+def test_recover_spec_names_a_miscounted_node_at_degree_32():
+    # degree_sweep(32) draw 5 has 11 circle sigmas, but its profile reads type (31, 9):
+    # recovery names the node count, not the spec's invariant 2 k0 + k1 = n.
+    h = synthesize(dict(degree_sweep(32, 6))[5])
+    with pytest.raises(GammaKitError, match="counts 31 nodes but the map has degree 32"):
+        recover_spec(h)
 
 
 @pytest.mark.xfail(

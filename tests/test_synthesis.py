@@ -6,8 +6,10 @@ import pytest
 
 from gammakit import (
     BadSpec,
+    ConditionFailed,
     DifferentSecondComponent,
     ExtremeNoWitness,
+    GammaKitError,
     Poly,
     SynthesisSpec,
     build_re,
@@ -29,6 +31,7 @@ from gammakit import (
 
 import gammakit.polynomials
 import gammakit.spectral
+import gammakit.synthesis
 from helpers import circle_points, count_calls, random_spec, same_multiset
 
 
@@ -241,6 +244,15 @@ def test_recover_spec_makes_no_spectral_factorization(monkeypatch):
     assert len(calls) == 1
 
 
+def test_recover_spec_names_a_miscounted_node():
+    # ((1 + lambda) / 2, lambda) unreduced: D shares its circle zero -1 with E and the profile
+    # counts that zero as a node (ROADMAP item 1); recovery names the count, not a spec whose
+    # node collides with a tau.
+    h = validate(Poly([0.5, 1, 0.5]), Poly([1, 1]), 2, strict=False)
+    with pytest.raises(GammaKitError, match="counts 2 nodes but the map has degree 1"):
+        recover_spec(h)
+
+
 def test_recover_spec_repeated_nodes():
     w = cmath.exp(1j * 0.8)
     spec = _spec(alphas=[0.3], taus=(), sigmas=[w, w], t_plus=2.0, t=1.5)
@@ -303,15 +315,32 @@ def test_witness_checks_shared_denominator_once(monkeypatch):
     )
     roots = count_calls(monkeypatch, "_roots", gammakit.polynomials._roots)
     _, h_plus, h_minus = witness_non_extreme(h)
-    # Trials run on the pencil of h's cached gap; only the (iv) checks of h+- remain,
-    # and those reuse h's |D|^2.
-    assert len(extrema) == 2
-    assert len(powers) == 3  # g, E + t g and E - t g
+    # Trials run on the pencil of h's cached gap, and (iv) of h+- takes the minimum of the
+    # trial that accepted t, so neither gap is built or scanned again.
+    assert not extrema
+    assert len(powers) == 1  # g
     assert all(args[0] != h.D for args in powers)
     assert not roots
     monkeypatch.undo()
     for found in (h_plus, h_minus):
         assert found == validate(found.E, h.D, h.n)
+
+
+def test_witness_circle_condition_reads_the_accepting_trial(monkeypatch):
+    # The accepted trial's minimum decides (iv) of h+-: reported below the slack
+    # -eps_residual (1 + scale), the pair is refused although its gaps clear it.
+    h = synthesize(_spec(alphas=[0.4], taus=[1j], sigmas=[-1, 0.2, 0.3j], t_plus=1.2, t=0.8))
+    admissible = gammakit.synthesis._admissible
+
+    def too_low(halves, grids, u, tol):
+        found = admissible(halves, grids, u, tol)
+        return found and (-2.0 * tol.eps_residual * (1.0 + found[2]), found[1], found[2])
+
+    monkeypatch.setattr(gammakit.synthesis, "_admissible", too_low)
+    with pytest.raises(ConditionFailed) as caught:
+        witness_non_extreme(h)
+    assert caught.value.failed == ("iv",)
+    assert "4|D|^2 - |E|^2 reaches" in caught.value.details["iv"]
 
 
 def test_witness_rejects_extreme():

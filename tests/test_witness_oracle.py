@@ -109,7 +109,7 @@ def _maps(seed: int, count: int):
                 continue
 
 
-@pytest.mark.parametrize("seed", [3, 17, 29, 20240214])
+@pytest.mark.parametrize("seed", [3, 17, 29, 20240214, 2001, 2002, 732])
 def test_witness_matches_unscreened_search(seed):
     witnessed = 0
     for h in _maps(seed, 10):
