@@ -177,18 +177,16 @@ def _closed_disc_zero(p: Poly, tol: ToleranceConfig) -> complex | None:
     return next((z for z, _, _ in _closed_disc_roots(p, tol)), None)
 
 
-def eval_h(h: GammaInner, lam: complex) -> tuple[complex, complex]:
-    """Evaluate (s, p) = (E/D, D~/D) at a point of the closed disc."""
-    return _h_values(h, complex(lam))
+def eval_h(h: GammaInner, lam: complex | np.ndarray) -> tuple:
+    """(s, p) = (E/D, D~/D) at a point of the closed disc, or elementwise over an ndarray.
 
-
-def _h_values(h: GammaInner, lam):
-    """(s, p) at lam: one complex point, or elementwise over an ndarray.
-
-    Each guard tests the worst point. A single point never enters numpy,
-    whose per-call overhead would dominate its cost.
+    Each guard tests the worst point; an empty array gives two empty complex arrays. A
+    single point never enters numpy, whose per-call overhead would dominate its cost.
     """
     many = isinstance(lam, np.ndarray)
+    lam = lam if many else complex(lam)
+    if many and not lam.size:
+        return np.zeros(lam.shape, complex), np.zeros(lam.shape, complex)
     far = lam.flat[np.argmax(np.abs(lam))] if many else lam  # argmax picks a NaN first
     if not _in_closed_disc(far, h.tol):
         raise ValueError(f"lambda lies outside the closed disc: {_band_miss('lambda', far, h.tol)}")

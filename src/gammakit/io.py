@@ -17,7 +17,7 @@ import numpy as np
 from ._floatrepr import repr_blocks
 from .errors import GammaKitError, ParseError, ValidationError
 from .geometry import _chart_curve
-from .inner import GammaInner, _h_values, validate
+from .inner import GammaInner, eval_h, validate
 from .polynomials import Poly
 from .royal import NodeRegion, RoyalNode, RoyalProfile
 from .spectral import TrigPoly
@@ -226,7 +226,7 @@ def trace_boundary(h: GammaInner, samples: int) -> list[TraceRow]:
     if samples % 1 or samples < 16:  # a fractional count leaves the loop open
         raise ValueError("samples must be an integer of at least 16")
     ts = 2.0 * math.pi * np.arange(samples) / samples
-    s, p = _h_values(h, np.exp(1j * ts))
+    s, p = eval_h(h, np.exp(1j * ts))
     x, theta = _chart_curve(s, p, h.tol)
     a, b, c, d = s.real, s.imag, p.real, p.imag
     # |s - conj(s) p| in real arithmetic rounds as Python's complex arithmetic does.

@@ -383,12 +383,12 @@ def _polish_cluster(
         if dgv == 0:
             break
         nxt = cur - gv / dgv
-        if abs(nxt - z) > leash * (1.0 + abs(z)):
+        if not abs(nxt - z) <= leash * (1.0 + abs(z)):  # a NaN step stops here too
             break
         cur = nxt
         gv = _horner(g, cur)
         val = abs(gv)
-        if val >= best_val:
+        if not val < best_val:
             break
         best, best_val = cur, val
         if val == 0.0:
@@ -397,7 +397,7 @@ def _polish_cluster(
 
 
 def roots_with_multiplicity(
-    f: Poly, tol: ToleranceConfig = DEFAULT_TOL
+    f: Poly, tol: ToleranceConfig = DEFAULT_TOL, keep: str | None = None
 ) -> tuple[tuple[complex, int], ...]:
     """All roots of f with multiplicities, clustered and centroid-polished.
 
@@ -408,22 +408,20 @@ def roots_with_multiplicity(
     backward stable for the coefficients; ``_cluster`` then makes every
     multiplicity decision. Roots closer together than the accuracy
     attainable for their combined multiplicity are reported as one root at
-    the polished cluster centroid. Two classifiers place roots against the
-    circle: ``_closed_disc_roots`` for D and E, whose circle zeros may be
-    simple, and ``partition_circle_roots`` for R and Fejer-Riesz symbols, whose
-    circle zeros have even order; both read ``_roots``' one-sided solves.
+    the polished cluster centroid.
+
+    ``keep`` is the side the caller keeps: None (every root polished), the
+    closed "disc" (``royal_profile``, ``_closed_disc_roots``) or the "outside"
+    (``fejer_riesz``). An isolated root farther on the other side than
+    ``partition_circle_roots``' reach plus the leash (1 + |z|) that bounds a
+    simple root's polish stays its raw eigenvalue: the polish could not bring
+    it to the kept side. All else is bit for bit the same, so the side either
+    circle classifier keeps is too: ``_closed_disc_roots`` for D and E, whose
+    circle zeros may be simple, and ``partition_circle_roots`` for R and
+    Fejer-Riesz symbols, whose circle zeros have even order.
     """
-    return _roots(f, tol)
-
-
-def _roots(f: Poly, tol: ToleranceConfig, keep: str | None = None):
-    """``roots_with_multiplicity`` for a caller that keeps the closed "disc" or the "outside".
-
-    An isolated root farther on the other side than ``partition_circle_roots``' reach plus
-    the leash (1 + |z|) that bounds a simple root's polish stays its raw eigenvalue: the
-    polish could not bring it to the kept side. All else is bit for bit the same, so the
-    side either circle classifier keeps is too.
-    """
+    if keep not in (None, "disc", "outside"):
+        raise ValueError(f"keep must be None, 'disc' or 'outside', not {keep!r}")
     if f.is_zero():
         raise ZeroPolynomial("cannot extract roots of the zero polynomial")
     if f.degree == 0:
@@ -455,8 +453,8 @@ def _closed_disc_roots(f: Poly, tol: ToleranceConfig) -> list[tuple[complex, int
     The plain band: unit is ``_unimodular(root)``, None in the open disc. It serves D and
     E, whose circle zeros may be simple, so parity cannot confirm them.
     """
-    disc = ((z, m) for z, m in _roots(f, tol, keep="disc") if _in_closed_disc(z, tol))
-    return [(z, m, _unimodular(z, tol)) for z, m in disc]
+    roots = roots_with_multiplicity(f, tol, keep="disc")
+    return [(z, m, _unimodular(z, tol)) for z, m in roots if _in_closed_disc(z, tol)]
 
 
 @dataclass

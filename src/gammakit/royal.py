@@ -18,8 +18,8 @@ from enum import Enum
 import numpy as np
 
 from .errors import OddCircleZero, OrderOverflow, RoyalVariety
-from .inner import GammaInner, _h_values
-from .polynomials import Poly, _roots, is_n_symmetric, partition_circle_roots
+from .inner import GammaInner, eval_h
+from .polynomials import Poly, is_n_symmetric, partition_circle_roots, roots_with_multiplicity
 from .spectral import circle_extrema, to_trig_shifted
 from .tolerances import DEFAULT_TOL, ToleranceConfig, _band_miss, _unimodular
 
@@ -98,7 +98,7 @@ def royal_profile(h: GammaInner, tol: ToleranceConfig | None = None) -> RoyalPro
         return h._royal_profile
     tol = tol or h.tol
     r = h.royal
-    roots = _roots(r, tol, keep="disc")
+    roots = roots_with_multiplicity(r, tol, keep="disc")
     try:
         circle_raw, inside, _ = partition_circle_roots(roots, r, tol)
     except OddCircleZero as exc:
@@ -146,7 +146,7 @@ def boundary_flatness(
     # most 15 times, and five dyadic samples follow it. One batch covers all.
     deltas = 0.2 * 0.5 ** np.arange(20)
     ts = t0 + np.concatenate(([0.0], deltas, -deltas))
-    s, _ = _h_values(h, np.exp(1j * ts))
+    s, _ = eval_h(h, np.exp(1j * ts))
     gap = 2.0 - np.abs(s)
     if gap[0] > 1e-8:
         return 0

@@ -25,11 +25,11 @@ from .polynomials import (
     _check_finite,
     _horner,
     _normalized,
-    _roots,
     _schur_cohn_outer,
     is_n_symmetric,
     partition_circle_roots,
     poly_from_roots,
+    roots_with_multiplicity,
 )
 from .tolerances import DEFAULT_TOL, ToleranceConfig
 
@@ -49,6 +49,8 @@ class TrigPoly:
     n: int
 
     def __post_init__(self):
+        if not isinstance(self.n, int) or isinstance(self.n, bool):
+            raise ValueError(f"n must be an integer, not {self.n!r}")
         if len(self.coeffs) != 2 * self.n + 1:
             raise ValueError("coefficient count must be 2n + 1")
         mags = list(map(abs, self.coeffs))
@@ -324,7 +326,7 @@ def fejer_riesz(f: TrigPoly, tol: ToleranceConfig = DEFAULT_TOL) -> Poly:
         size *= 2
     else:  # no root-free factor accepted, or none tried
         analytic = Poly(g.coeffs)
-        roots = _roots(analytic, tol, keep="outside")
+        roots = roots_with_multiplicity(analytic, tol, keep="outside")
         on_circle, _, outside = partition_circle_roots(roots, analytic, tol)
         selected = outside + [(z, m // 2) for z, m in on_circle]
         count = sum(m for _, m in selected)

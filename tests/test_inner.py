@@ -2,6 +2,7 @@ import cmath
 import math
 import random
 
+import numpy as np
 import pytest
 
 from gammakit import (
@@ -11,18 +12,24 @@ from gammakit import (
     GammaRegion,
     NotInner,
     Poly,
+    boundary_flatness,
     classify_point,
     conj_reciprocal,
+    eval_h,
+    fejer_riesz,
     from_inner_pair,
     geodesic,
     h_nu,
     poly_from_roots,
+    recover_spec,
     roots_with_multiplicity,
+    royal_profile,
     superficial,
+    to_trig_modulus_squared,
+    trace_boundary,
     validate,
 )
 
-import gammakit.polynomials
 from gammakit.inner import _closed_disc_zero
 from helpers import circle_points, count_calls, random_unimodular
 
@@ -49,9 +56,31 @@ def test_validate_rejects_disc_zero_denominator():
 
 def test_validate_strict_map_solves_no_roots(monkeypatch):
     h = h_nu(2, 0.9)
-    solves = count_calls(monkeypatch, "_roots", gammakit.polynomials._roots)
+    solves = count_calls(monkeypatch, "roots_with_multiplicity", roots_with_multiplicity)
     assert validate(h.E, h.D, h.n) == h
     assert not solves
+
+
+def test_library_solves_and_evaluates_through_the_public_layer(monkeypatch):
+    # The benchmark tracer wraps roots_with_multiplicity and eval_h by identity in every
+    # gammakit namespace, as count_calls does; a solve or an evaluation of h that bypassed
+    # them would be booked to its caller.
+    h = h_nu(1, 0.5)
+    solves = count_calls(monkeypatch, "roots_with_multiplicity", roots_with_multiplicity)
+    values = count_calls(monkeypatch, "eval_h", eval_h)
+    profile = royal_profile(h)
+    assert [args[0] for args in solves] == [h.royal]
+    recover_spec(h)  # the profile is memoized on h, so E is the only new solve
+    assert [args[0] for args in solves[1:]] == [h.E]
+    converse = validate(Poly([0.5, 1, 0.5]), Poly([1, 1]), 2, strict=False)  # D(-1) = 0
+    assert [args[0] for args in solves[2:]] == [converse.D]
+    symbol = to_trig_modulus_squared(Poly([-1, 1]) * Poly([0.5, 1]))  # a circle zero: root pairing
+    fejer_riesz(symbol)
+    assert [args[0].degree for args in solves[3:]] == [2 * symbol.n]  # the scaled symbol
+    trace_boundary(h, 64)
+    assert len(values) == 1
+    assert boundary_flatness(h, profile.circle_nodes()[0].location) == 2
+    assert len(values) == 2
 
 
 def test_closed_disc_zero_agrees_with_root_rule():
@@ -157,6 +186,13 @@ def test_eval_pole_on_domain_in_converse_mode():
     h = validate(Poly([]), Poly([1, -1]), 1, strict=False)
     with pytest.raises(PoleOnDomain):
         h.eval(1.0)
+
+
+@pytest.mark.parametrize("shape", [(0,), (0, 3)])
+def test_eval_h_of_an_empty_array_is_two_empty_arrays(shape):
+    s, p = eval_h(h_nu(0, 0.5), np.zeros(shape))
+    assert s.shape == p.shape == shape
+    assert s.dtype == p.dtype == complex
 
 
 def test_zero_numerator_is_valid():

@@ -43,7 +43,6 @@ from gammakit import (
 from gammakit import _floatrepr
 from gammakit.cli import cli_dispatch
 from gammakit.geometry import _chart_curve
-from gammakit.inner import _h_values
 from gammakit.io import TRACE_HEADER, TraceRow
 
 
@@ -199,7 +198,7 @@ class _DataclassRow:
 def _dataclass_trace(h, samples):
     """trace_boundary as it stood when rows were frozen dataclasses."""
     ts = 2.0 * math.pi * np.arange(samples) / samples
-    s, p = _h_values(h, np.exp(1j * ts))
+    s, p = eval_h(h, np.exp(1j * ts))
     x, theta = _chart_curve(s, p, h.tol)
     a, b, c, d = s.real, s.imag, p.real, p.imag
     twist = np.hypot(a - (a * c + b * d), b - (a * d - b * c))

@@ -26,7 +26,7 @@ from gammakit import (
 )
 import gammakit.polynomials
 from gammakit.polynomials import (
-    _CLUSTER_CAP, _ClusterContext, _components, _horner, _normalized, _roots,
+    _CLUSTER_CAP, _ClusterContext, _components, _horner, _normalized,
 )
 
 from helpers import (
@@ -124,6 +124,12 @@ def test_small_double_root_stays_one_pair():
 def test_roots_zero_polynomial_raises():
     with pytest.raises(ZeroPolynomial):
         roots_with_multiplicity(Poly())
+
+
+@pytest.mark.parametrize("keep", ["inside", "", "DISC", 1.0])
+def test_roots_reject_an_unknown_side(keep):
+    with pytest.raises(ValueError, match="keep must be None, 'disc' or 'outside'"):
+        roots_with_multiplicity(Poly([1, -2.5, 1]), DEFAULT_TOL, keep)
 
 
 def test_roots_random_recovery():
@@ -259,7 +265,7 @@ def test_one_sided_roots_keep_their_side_bit_for_bit(f, tol):
     reach = max(tol.eps_circle, 1e-4)
     leash = 4.0 * min(tol.eps_root, _CLUSTER_CAP) + 1e-12
     for keep, side in (("disc", 1.0), ("outside", -1.0)):
-        found = _roots(f, tol, keep)
+        found = roots_with_multiplicity(f, tol, keep)
         kept = [(z, m) for z, m in found if side * (abs(z) - 1.0) <= reach]
         assert repr(kept) == repr([(z, m) for z, m in full if side * (abs(z) - 1.0) <= reach])
         assert sorted(m for _, m in found) == sorted(m for _, m in full)

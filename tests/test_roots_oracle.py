@@ -53,6 +53,21 @@ def test_chain_of_simple_roots_in_one_component():
     assert [m for _, m in computed] == [1] * 8
 
 
+@pytest.mark.xfail(
+    strict=True,
+    reason="known defect: under a leading coefficient of 1.6e-212 the companion matrix has "
+    "entries near 6e211, and its three small eigenvalues come back as 0, 0 and 1",
+)
+def test_tiny_leading_coefficient_keeps_the_small_roots():
+    # 1 + z^2 - z^3 + 1.6e-212 z^4: the cubic's three roots move by about 1e-212, and the
+    # fourth root lies near 6.3e211.
+    computed = roots_with_multiplicity(Poly([1, 0, 1, -1, 1.5856272702070026e-212]))
+    small = [z for z, m in computed for _ in range(m) if abs(z) < 10]
+    assert len(small) == 3
+    for w in _oracle_roots(Poly([1, 0, 1, -1])):
+        assert min(abs(z - w) for z in small) <= 1e-12, (w, small)
+
+
 def test_two_double_roots_in_separate_components():
     far = Z0 + 1.5 * _CLUSTER_CAP
     computed = _check_against_oracle(poly_from_roots([(Z0, 2), (far, 2)]), 1e-9)

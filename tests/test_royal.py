@@ -135,13 +135,13 @@ def test_triple_circle_node_stays_on_sigma():
 @pytest.fixture
 def count_royal_solves(monkeypatch):
     solved = []
-    solve = gammakit.royal._roots
+    solve = gammakit.royal.roots_with_multiplicity
 
     def counting(f, tol, keep=None):
         solved.append(f)
         return solve(f, tol, keep)
 
-    monkeypatch.setattr(gammakit.royal, "_roots", counting)
+    monkeypatch.setattr(gammakit.royal, "roots_with_multiplicity", counting)
     return solved
 
 

@@ -33,7 +33,7 @@ from gammakit import (
 import gammakit.polynomials
 from gammakit import spectral
 from gammakit.inner import circle_gap
-from gammakit.polynomials import _EPS, _roots, _schur_cohn_outer
+from gammakit.polynomials import _EPS, _schur_cohn_outer
 from gammakit.spectral import _correlation, _grid_values, partition_circle_roots
 from gammakit.synthesis import build_re
 
@@ -231,7 +231,7 @@ def test_fejer_riesz_double_circle_zero(monkeypatch):
     # |(lambda - 1)|^2 style input: zero of order 2 at 1 on the circle
     e = Poly([-1, 1]) * Poly([0.5, 1])
     f = to_trig_modulus_squared(e)
-    solves = count_calls(monkeypatch, "_roots", gammakit.polynomials._roots)
+    solves = count_calls(monkeypatch, "roots_with_multiplicity", roots_with_multiplicity)
     d = fejer_riesz(f)
     monkeypatch.undo()
     assert len(solves) == 1  # the root pairing; the symbol has no positive depth
@@ -244,7 +244,7 @@ def test_fejer_riesz_double_circle_zero(monkeypatch):
 def test_fejer_riesz_strictly_positive_symbol_solves_no_roots(monkeypatch):
     f = to_trig_modulus_squared(random_poly(random.Random(1), 7))
     assert circle_extrema(f, 1024)[0] > 1e-4 * f.max_coeff  # far above the root-free depth
-    solves = count_calls(monkeypatch, "_roots", gammakit.polynomials._roots)
+    solves = count_calls(monkeypatch, "roots_with_multiplicity", roots_with_multiplicity)
     d = fejer_riesz(f)
     monkeypatch.undo()
     assert not solves
@@ -345,6 +345,13 @@ def test_trig_poly_rejects_non_hermitian():
         TrigPoly((1j, 2.0, 1j), 1)
     with pytest.raises(ValueError):
         TrigPoly((1.0, 2.0), 1)
+
+
+@pytest.mark.parametrize("coeffs, n", [((1, 2, 1), True), ((1, 2, 3, 4), 1.5), ((1,), 0.0)])
+def test_trig_poly_requires_an_integer_n(coeffs, n):
+    # As parse_trig does: a bool n would serialize as "n": true, which parsing rejects.
+    with pytest.raises(ValueError, match="n must be an integer"):
+        TrigPoly(coeffs, n)
 
 
 @pytest.mark.parametrize(
@@ -585,7 +592,7 @@ def _fejer_riesz_before(f: TrigPoly, tol=DEFAULT_TOL) -> Poly:
         size *= 2
     else:  # no root-free factor accepted, or none tried
         analytic = Poly(g.coeffs)
-        roots = _roots(analytic, tol, keep="outside")
+        roots = roots_with_multiplicity(analytic, tol, keep="outside")
         on_circle, _, outside = partition_circle_roots(roots, analytic, tol)
         selected = outside + [(z, m // 2) for z, m in on_circle]
         count = sum(m for _, m in selected)

@@ -29,7 +29,6 @@ from gammakit import (
     witness_non_extreme,
 )
 
-import gammakit.polynomials
 import gammakit.spectral
 import gammakit.synthesis
 from helpers import circle_points, count_calls, random_spec, same_multiset
@@ -313,7 +312,7 @@ def test_witness_checks_shared_denominator_once(monkeypatch):
     powers = count_calls(
         monkeypatch, "to_trig_modulus_squared", gammakit.spectral.to_trig_modulus_squared
     )
-    roots = count_calls(monkeypatch, "_roots", gammakit.polynomials._roots)
+    roots = count_calls(monkeypatch, "roots_with_multiplicity", roots_with_multiplicity)
     _, h_plus, h_minus = witness_non_extreme(h)
     # Trials run on the pencil of h's cached gap, and (iv) of h+- takes the minimum of the
     # trial that accepted t, so neither gap is built or scanned again.
@@ -409,7 +408,7 @@ def test_convex_combine_checks_shared_denominator_once(monkeypatch, strict):
     if strict:
         h = synthesize(_spec(alphas=[0.4], taus=[1j], sigmas=[-1, 0.2, 0.3j], t_plus=1.2))
     _, h_plus, h_minus = witness_non_extreme(h)
-    roots = count_calls(monkeypatch, "_roots", gammakit.polynomials._roots)
+    roots = count_calls(monkeypatch, "roots_with_multiplicity", roots_with_multiplicity)
     mid = convex_combine(h_plus, h_minus, 0.5)
     assert not roots
     monkeypatch.undo()
