@@ -127,10 +127,10 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _analyze_payload(h, tol):
+def _analyze_payload(h):
     payload = {"n": h.n, "degree": h.degree}
     try:
-        profile = royal_profile(h, tol)
+        profile = royal_profile(h)
     except RoyalVariety:
         payload["royal_variety"] = True
         return payload
@@ -138,7 +138,7 @@ def _analyze_payload(h, tol):
     payload["type"] = [profile.n, profile.k]
     payload["nodes"] = gio.to_jsonable(profile)["nodes"]
     payload["s_extreme"] = is_s_extreme(h)
-    omega = is_superficial(h, tol)
+    omega = is_superficial(h)
     payload["superficial"] = None if omega is None else [omega.real, omega.imag]
     return payload
 
@@ -151,12 +151,12 @@ def _run(args, tol: ToleranceConfig) -> int:
 
     if args.command == "analyze":
         h = gio.parse_gamma_inner(Path(args.file).read_text(), tol)
-        print(json.dumps(_analyze_payload(h, tol), indent=2))
+        print(json.dumps(_analyze_payload(h), indent=2))
         return 0
 
     if args.command == "synthesize":
         spec = gio.parse_spec(Path(args.spec).read_text(), tol)
-        h = synthesize(spec, tol)
+        h = synthesize(spec)
         Path(args.out).write_text(gio.serialize(h))
         return 0
 
@@ -185,7 +185,7 @@ def _run(args, tol: ToleranceConfig) -> int:
 
     if args.command == "witness":
         h = gio.parse_gamma_inner(Path(args.file).read_text(), tol)
-        t_step, h_plus, h_minus = witness_non_extreme(h, tol)
+        t_step, h_plus, h_minus = witness_non_extreme(h)
         Path(args.out_plus).write_text(gio.serialize(h_plus))
         Path(args.out_minus).write_text(gio.serialize(h_minus))
         print(json.dumps({"t": t_step}))

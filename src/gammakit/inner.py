@@ -34,7 +34,8 @@ class GammaInner:
     Instances are immutable and produced by :func:`validate`; ``strict``
     records whether D was required to be zero-free on the whole closed disc
     (the default) or only on the open disc, in which case circle zeros of D
-    lower the realized degree.
+    lower the realized degree. ``tol`` is the tolerance it was validated with,
+    which every analysis of the map reads.
     """
 
     E: Poly
@@ -43,7 +44,7 @@ class GammaInner:
     tol: ToleranceConfig = field(compare=False)
     strict: bool = True
     d_circle_zeros: int = 0
-    # royal_profile's memo for ``tol``; see its docstring.
+    # royal_profile's memo; see its docstring.
     _royal_profile: object = field(default=None, init=False, compare=False, repr=False)
 
     @property
@@ -103,8 +104,8 @@ def validate(
 
     Raises :class:`ConditionFailed` carrying every failed condition label.
     """
-    if n < 1:
-        raise BadParameter("the degree bound n must be a positive integer")
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+        raise BadParameter(f"the degree bound n must be a positive integer, not {n!r}")
 
     d_failure = None
     circle_zeros = 0
@@ -125,18 +126,14 @@ def validate(
     return _checked(e, d, n, tol, strict, d_failure, circle_zeros, to_trig_modulus_squared(d))
 
 
-def _with_numerator(
-    h: GammaInner, e: Poly, tol: ToleranceConfig | None = None, minimum=None
-) -> GammaInner:
-    """``validate(e, h.D, h.n, tol, strict=h.strict)`` without solving D again.
+def _with_numerator(h: GammaInner, e: Poly, minimum=None) -> GammaInner:
+    """``validate(e, h.D, h.n, h.tol, strict=h.strict)`` without solving D again.
 
     Conditions (i), (ii) and (iv) involve E and run on e; (iv) reuses h's |D|^2, or takes
     ``minimum``, the (value, angle, largest coefficient) of e's gap from a witness trial.
-    (iii) and the circle-zero count depend only on D, tol and strict, which h shares, so
-    they are taken from h. A ``tol`` other than ``h.tol`` runs :func:`validate`.
+    (iii) and the circle-zero count depend only on D, tol and strict, which the new map
+    shares with h, so they are taken from h.
     """
-    if tol is not None and tol != h.tol:
-        return validate(e, h.D, h.n, tol, strict=h.strict)
     return _checked(e, h.D, h.n, h.tol, h.strict, None, h.d_circle_zeros, h.d_power, minimum)
 
 
@@ -238,8 +235,8 @@ def h_nu(nu: int, r: float, tol: ToleranceConfig = DEFAULT_TOL) -> GammaInner:
 
     E = 2 (1 - r) lambda^{nu + 1}, D = 1 + r lambda^{2 nu + 1}, n = 2 nu + 2.
     """
-    if nu < 0:
-        raise BadParameter("nu must be a nonnegative integer")
+    if isinstance(nu, bool) or not isinstance(nu, int) or nu < 0:
+        raise BadParameter(f"nu must be a nonnegative integer, not {nu!r}")
     if not 0.0 < r < 1.0:
         raise BadParameter("r must lie strictly between 0 and 1")
     e = Poly([0.0] * (nu + 1) + [2.0 * (1.0 - r)])
@@ -268,6 +265,8 @@ def superficial(
         raise BadParameter(f"omega must be unimodular: {_band_miss('omega', omega, tol)}")
     if m is None:
         m = p_den.degree
+    if isinstance(m, bool) or not isinstance(m, int):
+        raise BadParameter(f"m must be an integer, not {m!r}")
     if m < 1 or p_den.degree > m or p_den.is_zero():
         raise BadParameter("p_den must be nonzero with degree at most m >= 1")
     if _closed_disc_zero(p_den, tol) is not None:

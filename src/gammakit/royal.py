@@ -79,7 +79,7 @@ def is_n_balanced(r: Poly, n: int, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     return min_val >= -tol.eps_residual * (1.0 + shifted.max_coeff)
 
 
-def royal_profile(h: GammaInner, tol: ToleranceConfig | None = None) -> RoyalProfile:
+def royal_profile(h: GammaInner) -> RoyalProfile:
     """Royal nodes of h with multiplicities and the type (n, k).
 
     Zeros of R inside the disc keep their order as multiplicity. Zeros on
@@ -88,19 +88,16 @@ def royal_profile(h: GammaInner, tol: ToleranceConfig | None = None) -> RoyalPro
     (circle zeros of R always have even order). Zeros outside the disc are
     the reflected partners and are discarded.
 
-    The profile for ``h.tol`` (``tol`` omitted or equal) is computed once per
-    map and kept on that instance; later calls, such as those inside
-    ``recover_spec`` and ``witness_non_extreme``, return the same object
-    without solving R again. A different ``tol`` recomputes.
+    Every decision reads ``h.tol``. The profile is computed once per map and
+    kept on that instance; later calls, such as those inside ``recover_spec``
+    and ``witness_non_extreme``, return the same object without solving R again.
     """
-    memo = tol is None or tol == h.tol
-    if memo and h._royal_profile is not None:
+    if h._royal_profile is not None:
         return h._royal_profile
-    tol = tol or h.tol
     r = h.royal
-    roots = roots_with_multiplicity(r, tol, keep="disc")
+    roots = roots_with_multiplicity(r, h.tol, keep="disc")
     try:
-        circle_raw, inside, _ = partition_circle_roots(roots, r, tol)
+        circle_raw, inside, _ = partition_circle_roots(roots, r, h.tol)
     except OddCircleZero as exc:
         raise OddCircleZero(f"royal polynomial: {exc}") from exc
 
@@ -113,20 +110,14 @@ def royal_profile(h: GammaInner, tol: ToleranceConfig | None = None) -> RoyalPro
     k = sum(nd.multiplicity for nd in circle_nodes)
     n = k + sum(nd.multiplicity for nd in disc_nodes)
     profile = RoyalProfile(nodes=nodes, n=n, k=k)
-    if memo:
-        object.__setattr__(h, "_royal_profile", profile)
+    object.__setattr__(h, "_royal_profile", profile)
     return profile
 
 
 _FLATNESS_FLOOR = 1e-13
 
 
-def boundary_flatness(
-    h: GammaInner,
-    tau: complex,
-    max_order: int = 12,
-    tol: ToleranceConfig | None = None,
-) -> int:
+def boundary_flatness(h: GammaInner, tau: complex, max_order: int = 12) -> int:
     """Order to which |s| attains the value 2 along the circle at tau.
 
     Returns 0 when |s(tau)| stays below 2. Otherwise the vanishing order of
@@ -134,12 +125,12 @@ def boundary_flatness(
     samples above ``_FLATNESS_FLOOR``; at a circle royal node of
     multiplicity nu the result is 2 nu. The base scale shrinks adaptively
     until the gap is small, so sharply curved nodes (and nearby neighbours)
-    stop contaminating the leading-order model.
+    stop contaminating the leading-order model. tau is tested against ``h.tol``'s
+    circle band, as ``eval_h`` tests the samples.
     """
-    tol = tol or h.tol
-    unit = _unimodular(complex(tau), tol)
+    unit = _unimodular(complex(tau), h.tol)
     if unit is None:
-        raise ValueError(f"tau must lie on the unit circle: {_band_miss('tau', tau, tol)}")
+        raise ValueError(f"tau must lie on the unit circle: {_band_miss('tau', tau, h.tol)}")
     t0 = cmath.phase(unit)
 
     # Every offset the search below can reach: the base halves from 0.2 at
@@ -176,18 +167,16 @@ def is_s_extreme(h: GammaInner) -> bool:
     return 2 * profile.k > profile.n
 
 
-def is_superficial(
-    h: GammaInner, tol: ToleranceConfig | None = None
-) -> complex | None:
+def is_superficial(h: GammaInner) -> complex | None:
     """The unimodular omega with E = omega D + conj(omega) D~, if one exists.
 
     E = a D + b D~ is fitted by least squares with a and b independent. When
     the form holds, the minimum-norm fit has b = conj(a) (also when D~ is a
     multiple of D), so omega is (a + conj(b)) / 2 projected to the circle and
     verified coefficientwise; ``None`` means h does not have the
-    boundary-valued form (omega + conj(omega) p, p).
+    boundary-valued form (omega + conj(omega) p, p). The residual test reads
+    ``h.tol.eps_residual``.
     """
-    tol = tol or h.tol
     width = h.n + 1
     d_col = np.array(h.D.padded(width), dtype=complex)
     dr_col = np.array(h.d_reflected.padded(width), dtype=complex)
@@ -202,6 +191,6 @@ def is_superficial(
     omega = averaged / abs(averaged)
     residual = target - omega * d_col - omega.conjugate() * dr_col
     scale = 1.0 + max(h.E.max_coeff, h.D.max_coeff)
-    if float(np.max(np.abs(residual))) <= tol.eps_residual * scale:
+    if float(np.max(np.abs(residual))) <= h.tol.eps_residual * scale:
         return complex(omega)
     return None

@@ -54,7 +54,8 @@ class SynthesisSpec:
     royal nodes in the closed disc; the counts satisfy 2 k0 + k1 = n with
     n = len(sigmas). t_plus scales the royal polynomial, t scales E, omega
     rotates the spectral factor. Circle-adjacent sigmas, the taus and omega
-    are snapped to exact unit modulus on construction.
+    are snapped to exact unit modulus on construction, under ``tol``, which
+    ``synthesize`` reads too.
     """
 
     alphas: tuple[complex, ...]
@@ -128,23 +129,23 @@ def build_re(spec: SynthesisSpec) -> tuple[Poly, Poly]:
     return Poly(r), Poly(e)
 
 
-def synthesize(spec: SynthesisSpec, tol: ToleranceConfig | None = None) -> GammaInner:
+def synthesize(spec: SynthesisSpec) -> GammaInner:
     """Build the inner map of degree exactly n prescribed by the spec.
 
     On the circle, lambda^{-n} (R + E^2) equals lambda^{-n} R + |E|^2 because
     E is n-symmetric; that trigonometric polynomial is strictly positive
     since the sigmas avoid the taus, so its outer spectral factor D (halved,
-    then rotated by conj(omega)) completes the pair.
+    then rotated by conj(omega)) completes the pair. Every step reads ``spec.tol``,
+    which the map keeps.
     """
-    tol = tol or spec.tol
     r, e = build_re(spec)
-    f = to_trig_shifted(r + e * e, spec.n, tol)
-    d0 = fejer_riesz(f, tol)
+    f = to_trig_shifted(r + e * e, spec.n, spec.tol)
+    d0 = fejer_riesz(f, spec.tol)
     d = (0.5 * spec.omega.conjugate()) * d0
-    return validate(e, d, spec.n, tol)
+    return validate(e, d, spec.n, spec.tol)
 
 
-def recover_spec(h: GammaInner, tol: ToleranceConfig | None = None) -> SynthesisSpec:
+def recover_spec(h: GammaInner) -> SynthesisSpec:
     """Invert the synthesis recipe on a validated map.
 
     Royal nodes come from the royal profile, zeros of s from the roots of E
@@ -153,10 +154,10 @@ def recover_spec(h: GammaInner, tol: ToleranceConfig | None = None) -> Synthesis
     omega as conj(D(0) / |D(0)|): synthesis sets D = conj(omega) D0 / 2 with
     the outer factor D0 normalized to D0(0) > 0, so no second spectral
     factorization is needed. Synthesizing the result reproduces h up to the
-    real-scalar representation equivalence.
+    real-scalar representation equivalence. The roots of E are placed with ``h.tol``,
+    which the spec keeps.
     """
-    tol = tol or h.tol
-    profile = royal_profile(h, tol)
+    profile = royal_profile(h)
     if profile.n != h.degree:  # a node miscounted: no spec of either degree would be right
         raise GammaKitError(
             f"the royal profile counts {profile.n} nodes but the map has degree {h.degree}"
@@ -170,7 +171,7 @@ def recover_spec(h: GammaInner, tol: ToleranceConfig | None = None) -> Synthesis
 
     alphas = []
     taus = []
-    for z, m, unit in _closed_disc_roots(h.E, tol):
+    for z, m, unit in _closed_disc_roots(h.E, h.tol):
         if unit is not None:
             taus.extend([unit] * m)
         else:
@@ -183,7 +184,7 @@ def recover_spec(h: GammaInner, tol: ToleranceConfig | None = None) -> Synthesis
         t_plus=1.0,
         t=1.0,
         omega=1.0,
-        tol=tol,
+        tol=h.tol,
     )
     node_product, factor = build_re(monic)
     t = _coeff_ratio(h.E, factor).real
@@ -232,9 +233,7 @@ def _perturbation_direction(h: GammaInner, circle_taus) -> Poly:
     return front * poly_from_roots(roots)
 
 
-def witness_non_extreme(
-    h: GammaInner, tol: ToleranceConfig | None = None
-) -> tuple[float, GammaInner, GammaInner]:
+def witness_non_extreme(h: GammaInner) -> tuple[float, GammaInner, GammaInner]:
     """A strict convex decomposition h = (h+ + h-) / 2 when 2k <= n.
 
     h+- = (E +- t g) / D for the direction g of ``_perturbation_direction``.
@@ -254,9 +253,10 @@ def witness_non_extreme(
     h+ and h- are then validated by ``_with_numerator``, which shares D, tol and strict
     with h, checks (i) and (ii) on E +- t g and (iv) on the accepting trial's minimum:
     the pencil at +-t is that gap up to rounding, and it cleared half of (iv)'s slack.
+    Every trial reads ``h.tol``.
     """
-    tol = tol or h.tol
-    profile = royal_profile(h, tol)
+    tol = h.tol
+    profile = royal_profile(h)
     if 2 * profile.k > profile.n:
         raise ExtremeNoWitness(
             f"type {profile.type_pair} satisfies 2k > n; the map is s-extreme"
@@ -287,8 +287,8 @@ def witness_non_extreme(
     else:
         raise GammaKitError("no admissible perturbation size found in 60 halvings")
 
-    h_plus = _with_numerator(h, h.E + t_step * g, tol, plus)
-    h_minus = _with_numerator(h, h.E + -t_step * g, tol, minus)
+    h_plus = _with_numerator(h, h.E + t_step * g, plus)
+    h_minus = _with_numerator(h, h.E + -t_step * g, minus)
     return t_step, h_plus, h_minus
 
 

@@ -13,7 +13,7 @@ class ToleranceConfig:
     eps_root : root residual target, also drives multiplicity clustering
     eps_circle : half-width of the circle band ||z| - 1| <= eps_circle (below)
     eps_residual : tolerance for verifying polynomial identities
-    circle_samples : default sampling density on the unit circle
+    circle_samples : default sampling density on the unit circle (an int)
 
     ``eps_trim`` keeps four roles: ``royal_polynomial``'s :class:`RoyalVariety`
     test, the root clusterer's coefficient noise, the location uncertainty of
@@ -38,8 +38,9 @@ class ToleranceConfig:
                 raise ValueError(f"{name} must be finite and strictly positive")
         if not self.eps_circle < 0.5:
             raise ValueError("eps_circle must be below 0.5")
-        if not 256 <= self.circle_samples < float("inf"):  # NaN fails too
-            raise ValueError("circle_samples must be at least 256 and finite")
+        samples = self.circle_samples
+        if isinstance(samples, bool) or not isinstance(samples, int) or samples < 256:
+            raise ValueError(f"circle_samples must be at least 256 and an int, not {samples!r}")
 
     def with_overrides(self, **kwargs) -> "ToleranceConfig":
         return replace(self, **kwargs)

@@ -51,7 +51,7 @@ SITES = {
         lambda h: h.E.coeffs[0],
     ),
     "boundary_flatness": (
-        True, ValueError, "tau", lambda z, tol: boundary_flatness(h_nu(0, 0.5, tol), z, tol=tol),
+        True, ValueError, "tau", lambda z, tol: boundary_flatness(h_nu(0, 0.5, tol), z),
         None,
     ),
     "mobius_chart": (True, NotOnTorusFiber, "p", lambda z, tol: mobius_chart(0, z, tol=tol), None),

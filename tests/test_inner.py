@@ -163,6 +163,24 @@ def test_validate_rejects_constant_degree():
         validate(Poly([1]), Poly([1]), 0)
 
 
+@pytest.mark.parametrize(
+    "build, args",
+    [
+        (validate, (Poly([0.5, 0.5]), Poly([1.0]), True)),
+        (validate, (Poly([0.5, 0.5]), Poly([1.0]), 1.0)),
+        (h_nu, (1.5, 0.5)),
+        (h_nu, (True, 0.5)),
+        (superficial, (1, Poly([1, 0.5]), True)),
+        (superficial, (1, Poly([1, 0.5]), 1.5)),
+    ],
+    ids=["validate-bool", "validate-float", "h_nu-float", "h_nu-bool", "superficial-bool",
+         "superficial-float"],
+)
+def test_map_constructors_require_an_integer_degree(build, args):
+    with pytest.raises(BadParameter, match="must be a.* integer, not"):
+        build(*args)
+
+
 def test_eval_h_examples():
     h = h_nu(0, 0.5)
     s, p = h.eval(0)

@@ -656,6 +656,12 @@ def test_tolerance_config_rejects_non_finite_or_non_positive(name, value):
         ToleranceConfig(**{name: value})
 
 
+@pytest.mark.parametrize("value", [300.7, 1e300, 1024.0, True])
+def test_tolerance_config_requires_an_integer_circle_samples(value):
+    with pytest.raises(ValueError, match="circle_samples must be at least 256 and an int"):
+        ToleranceConfig(circle_samples=value)
+
+
 def test_cli_superficial_example(tmp_path, capsys):
     out = tmp_path / "sup.json"
     assert cli_dispatch(["example", "--family", "superficial", "--omega", "0,1",

@@ -1,5 +1,6 @@
 import cmath
 import dataclasses
+import inspect
 import math
 import random
 import sys
@@ -154,7 +155,6 @@ def test_royal_profile_computed_once_per_map(count_royal_solves):
     profile = royal_profile(h)
     assert royal_profile(h) is profile
     assert (repr(h), hash(h)) == (shown, hashed)
-    assert royal_profile(h, h.tol) is profile
     recover_spec(h)
     witness_non_extreme(h)
     assert is_s_extreme(h) is False
@@ -178,24 +178,43 @@ def test_royal_polynomial_built_once_per_map(monkeypatch):
     h = synthesize(spec)
     royal_profile(h)
     recover_spec(h)
-    royal_profile(h, h.tol.with_overrides(eps_root=1e-9))
     assert len(built) == 1
     assert h.royal.coeffs == build(h).coeffs
 
 
 def test_royal_profile_memo_respects_tol(count_royal_solves):
     h = h_nu(1, 0.5)
-    loose = h.tol.with_overrides(eps_root=1e-9)
     profile = royal_profile(h)
-    other = royal_profile(h, loose)
-    assert other is not profile and other.type_pair == profile.type_pair
     assert royal_profile(h) is profile
+    assert len(count_royal_solves) == 1
+
+    twin = h_nu(1, 0.5, h.tol.with_overrides(eps_root=1e-9))
+    assert twin == h and hash(twin) == hash(h)
+    other = royal_profile(twin)
+    assert other is not profile and other.type_pair == profile.type_pair
+    assert royal_profile(twin) is other and royal_profile(h) is profile
     assert len(count_royal_solves) == 2
 
-    twin = h_nu(1, 0.5, loose)
-    assert twin == h and hash(twin) == hash(h)
-    assert royal_profile(twin) is not profile
-    assert len(count_royal_solves) == 3
+
+def test_analyses_read_the_tolerance_of_their_map():
+    checked = set()
+    for name in gammakit.__all__:
+        obj = getattr(gammakit, name)
+        params = list(inspect.signature(obj).parameters.values()) if inspect.isfunction(obj) else []
+        if params and params[0].annotation in ("GammaInner", "SynthesisSpec"):
+            assert "tol" not in [p.name for p in params], f"{name} takes a second tolerance"
+            checked.add(name)
+    six = {"royal_profile", "recover_spec", "witness_non_extreme", "boundary_flatness",
+           "is_superficial", "synthesize"}
+    assert six <= checked
+
+    # At eps_trim = 1e-5 every coefficient of R is noise; the map validated there says so.
+    spec = SynthesisSpec(alphas=(), taus=(1j,), sigmas=(0.3,), t_plus=1e-7, t=1.0, omega=1)
+    h = synthesize(spec)
+    assert royal_profile(h).type_pair == (1, 0)
+    loose = validate(h.E, h.D, h.n, h.tol.with_overrides(eps_trim=1e-5))
+    with pytest.raises(RoyalVariety, match="vanishes identically"):
+        royal_profile(loose)
 
 
 def test_multiplicity_identity():

@@ -47,7 +47,7 @@ def reference_witness_non_extreme(
     decomposition exists.
     """
     tol = tol or h.tol
-    profile = royal_profile(h, tol)
+    profile = royal_profile(h)
     if 2 * profile.k > profile.n:
         raise ExtremeNoWitness(
             f"type {profile.type_pair} satisfies 2k > n; the map is s-extreme"
@@ -78,16 +78,16 @@ def reference_witness_non_extreme(
     return t_step, h_plus, h_minus
 
 
-def _outcome(search, h, tol):
+def _outcome(search, h):
     try:
-        return search(h, tol)
+        return search(h)
     except GammaKitError as exc:
         return type(exc), str(exc)
 
 
-def _assert_same(h, tol=None):
-    found = _outcome(witness_non_extreme, h, tol)
-    expected = _outcome(reference_witness_non_extreme, h, tol)
+def _assert_same(h):
+    found = _outcome(witness_non_extreme, h)
+    expected = _outcome(reference_witness_non_extreme, h)
     assert found == expected  # GammaInner equality: E, D, n, strict, d_circle_zeros
     if isinstance(found[0], float):
         assert [m.tol for m in found[1:]] == [m.tol for m in expected[1:]]
@@ -128,7 +128,7 @@ def test_witness_matches_unscreened_search_with_other_tolerances():
         h = synthesize(random_spec(rng, n_max=10))
         for tol in tolerances:
             assert tol != h.tol
-            witnessed += isinstance(_assert_same(h, tol)[0], float)
+            witnessed += isinstance(_assert_same(validate(h.E, h.D, h.n, tol))[0], float)
     assert witnessed
 
 
