@@ -206,7 +206,8 @@ def from_inner_pair(
     the closed disc.
     """
     for name, (num, den, deg_bound) in (("phi", phi), ("psi", psi)):
-        if deg_bound < 0 or den.is_zero():
+        not_int = isinstance(deg_bound, bool) or not isinstance(deg_bound, int)
+        if not_int or deg_bound < 0 or den.is_zero():
             raise NotInner(f"{name}: invalid Blaschke data")
         if max(num.degree, den.degree) > deg_bound:
             raise NotInner(f"{name}: a polynomial's degree exceeds the bound {deg_bound}")

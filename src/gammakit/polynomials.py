@@ -222,12 +222,17 @@ class _ClusterContext:
     ``eps_coeff`` declares the relative uncertainty the coefficients carry
     from upstream arithmetic (for example the cancellation in 4 D D~ - E^2);
     the tolerance's coefficient noise is the natural level. Differentiation scales each
-    coefficient linearly, so the relative noise survives it.
+    coefficient linearly, so the relative noise survives it. No polish crosses ``reach``.
     """
 
-    def __init__(self, f: Poly, eps_coeff: float = 0.0):
+    def __init__(self, f: Poly, eps_coeff: float = 0.0, reach: float = _CIRCLE_REACH):
         self.noise = 4.0 * max(f.degree, 1) * _EPS + eps_coeff
+        self.reach = reach
         self._derivs = [f.coeffs]
+
+    def band_side(self, z: complex) -> int:
+        """1 or -1 when z lies farther than ``reach`` outside or inside the circle, else 0."""
+        return (abs(z) - 1.0 > self.reach) - (1.0 - abs(z) > self.reach)
 
     def deriv(self, j: int):
         """The j-th derivative's coefficients, or None past the constant one.
@@ -309,7 +314,7 @@ def _cluster(roots, eps_root, ctx: _ClusterContext, unpolished=frozenset()):
             if abs(ordered[j] - z) <= _CLUSTER_CAP:
                 linked.update((i, j))
     near = [ordered[i] for i in sorted(linked)]
-    accepted = [(z, 1) if z in unpolished else (_polish_cluster(ctx, z, 1, 0.0, eps_root), 1)
+    accepted = [(z if z in unpolished else _polish_cluster(ctx, z, 1), 1)
                 for z in ordered if z not in near]
     for part in _components(len(near), lambda a, b: abs(near[a] - near[b]) <= _CLUSTER_CAP):
         accepted.extend(_cluster_component([near[a] for a in sorted(part)], eps_root, ctx))
@@ -324,76 +329,67 @@ def _cluster_component(roots, eps_root, ctx: _ClusterContext):
     resolvability radius at each point, capped so that genuinely separated
     roots stay apart; a linked group is accepted only when it holds at least
     m roots and the polished center passes the backward-error test that all
-    derivatives below order m vanish numerically. Rejected groups fall
-    through to smaller hypotheses.
+    derivatives below order m vanish numerically. The group's order is its
+    size and its center the mean. Rejected groups fall through to smaller
+    hypotheses, and each root left at the end is polished as a simple root.
     """
-    pending = [(z, 1) for z in roots]
+    pending = list(roots)
     accepted = []
     for m in range(len(pending), 1, -1):
-        if m > sum(w for _, w in pending):
+        if m > len(pending):
             continue
         radii = [
-            min(
-                max(eps_root ** (1.0 / m), 8.0 * ctx.resolvability(z, m)),
-                _CLUSTER_CAP,
-            )
-            for z, _ in pending
+            min(max(eps_root ** (1.0 / m), 8.0 * ctx.resolvability(z, m)), _CLUSTER_CAP)
+            for z in pending
         ]
 
         def linked(i, j):
-            return abs(pending[i][0] - pending[j][0]) <= max(radii[i], radii[j])
+            return abs(pending[i] - pending[j]) <= max(radii[i], radii[j])
 
         still = []
         for group in _components(len(pending), linked):
-            total = sum(pending[i][1] for i in group)
-            if total >= m and total > 1:
-                centroid = sum(pending[i][0] * pending[i][1] for i in group) / total
-                spread = max(abs(pending[i][0] - centroid) for i in group)
-                polished = _polish_cluster(ctx, centroid, total, spread, eps_root)
-                if ctx.consistent_root(polished, total):
-                    accepted.append((polished, total))
+            if len(group) >= m:
+                polished = _polish_cluster(ctx, sum(pending[i] for i in group) / len(group),
+                                           len(group))
+                if ctx.consistent_root(polished, len(group)):
+                    accepted.append((polished, len(group)))
                     continue
             still.extend(pending[i] for i in group)
         pending = still
-    for z, w in pending:
-        accepted.append((_polish_cluster(ctx, z, w, 0.0, eps_root), w))
+    accepted.extend((_polish_cluster(ctx, z, 1), 1) for z in pending)
     return accepted
 
 
-def _polish_cluster(
-    ctx: _ClusterContext, z: complex, mult: int, spread: float, eps_root: float
-) -> complex:
+def _polish_cluster(ctx: _ClusterContext, z: complex, mult: int) -> complex:
     """Refine an m-fold root via Newton on the (m-1)-th derivative, g.
 
-    Newton stops at the first step that does not lower |g|: from eigenvalue
-    starts it converges in a step or two, and later moves are rounding.
-    Returns the iterate with the smallest |g|, never one beyond the leash.
+    Newton stops at the first step that does not lower |g| (a NaN or infinite
+    step counts), at a zero derivative, at an exact zero or after 12 steps:
+    from eigenvalue starts it converges in a step or two, and later moves are
+    rounding. Returns the iterate with the smallest |g|, or the start if that
+    iterate left the start's ``band_side``: no root farther than ``reach`` from
+    the circle is polished to within it or across it.
     """
     dg = ctx.deriv(mult)
     g = ctx.deriv(mult - 1)
     if not dg or not g:  # past the ladder's end (None) or the zero polynomial
         return z
-    leash = 4.0 * (spread + min(eps_root ** (1.0 / mult), _CLUSTER_CAP)) + 1e-12
-    cur = z
-    best = z
+    start = z
     gv = _horner(g, z)
     best_val = abs(gv)
     for _ in range(12):
-        dgv = _horner(dg, cur)
+        dgv = _horner(dg, z)
         if dgv == 0:
             break
-        nxt = cur - gv / dgv
-        if not abs(nxt - z) <= leash * (1.0 + abs(z)):  # a NaN step stops here too
-            break
-        cur = nxt
-        gv = _horner(g, cur)
+        nxt = z - gv / dgv
+        gv = _horner(g, nxt)
         val = abs(gv)
-        if not val < best_val:
+        if not val < best_val:  # a NaN step stops here too
             break
-        best, best_val = cur, val
+        z, best_val = nxt, val
         if val == 0.0:
             break
-    return best
+    return z if ctx.band_side(start) in (0, ctx.band_side(z)) else start
 
 
 def roots_with_multiplicity(
@@ -412,13 +408,12 @@ def roots_with_multiplicity(
 
     ``keep`` is the side the caller keeps: None (every root polished), the
     closed "disc" (``royal_profile``, ``_closed_disc_roots``) or the "outside"
-    (``fejer_riesz``). An isolated root farther on the other side than
-    ``partition_circle_roots``' reach plus the leash (1 + |z|) that bounds a
-    simple root's polish stays its raw eigenvalue: the polish could not bring
-    it to the kept side. All else is bit for bit the same, so the side either
-    circle classifier keeps is too: ``_closed_disc_roots`` for D and E, whose
-    circle zeros may be simple, and ``partition_circle_roots`` for R and
-    Fejer-Riesz symbols, whose circle zeros have even order.
+    (``fejer_riesz``). An isolated root on the other side, farther than
+    ``partition_circle_roots``' reach max(eps_circle, 1e-4), stays its raw
+    eigenvalue. No polish crosses the reach, so the kept side is bit for bit
+    what ``keep=None`` returns, for either circle classifier:
+    ``_closed_disc_roots`` for D and E, whose circle zeros may be simple, and
+    ``partition_circle_roots`` for R and Fejer-Riesz symbols (even order).
     """
     if keep not in (None, "disc", "outside"):
         raise ValueError(f"keep must be None, 'disc' or 'outside', not {keep!r}")
@@ -435,14 +430,13 @@ def roots_with_multiplicity(
     cs = cs[zeros_at_origin:]
     clustered = [(0j, zeros_at_origin)] if zeros_at_origin else []
     if len(cs) > 1:
-        ctx = _ClusterContext(f, eps_coeff=tol.eps_trim)
+        reach = max(tol.eps_circle, _CIRCLE_REACH)
+        ctx = _ClusterContext(f, tol.eps_trim, reach)
         companion = np.diag(np.ones(len(cs) - 2, dtype=complex), -1)
         companion[0, :] = -np.array(cs[-2::-1]) / cs[-1]
         raw = np.linalg.eigvals(companion).tolist()
         side = {None: 0.0, "disc": 1.0, "outside": -1.0}[keep]
-        reach = max(tol.eps_circle, _CIRCLE_REACH)
-        leash = 4.0 * min(tol.eps_root, _CLUSTER_CAP) + 1e-12  # _polish_cluster's, m = 1
-        far = {z for z in raw if side * (abs(z) - 1.0) > reach + leash * (1.0 + abs(z))}
+        far = {z for z in raw if side * (abs(z) - 1.0) > reach}
         clustered.extend(_cluster(raw, tol.eps_root, ctx, far))
     return tuple(sorted(clustered, key=lambda item: (item[0].real, item[0].imag)))
 
@@ -540,6 +534,8 @@ def poly_from_roots(roots, lead: complex = 1.0) -> Poly:
     """Expand ``lead * prod (lambda - r)`` over (root, multiplicity) pairs, normalized once."""
     acc = [complex(lead)]
     for z, m in roots:
+        if isinstance(m, bool) or not isinstance(m, int) or m < 0:
+            raise BadParameter(f"a root multiplicity must be a nonnegative integer, not {m!r}")
         for _ in range(m):
             acc = [a - b * z for a, b in zip([0j] + acc, acc + [0j])]
     return Poly(acc)

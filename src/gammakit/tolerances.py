@@ -10,7 +10,8 @@ class ToleranceConfig:
     """Thresholds that turn exact polynomial identities into floating checks.
 
     eps_trim : relative coefficient noise level (see below)
-    eps_root : root residual target, also drives multiplicity clustering
+    eps_root : root clustering scale: eps_root^(1/m) links an m-fold hypothesis and
+        merges circle roots (capped at 0.01); it bounds no Newton polish
     eps_circle : half-width of the circle band ||z| - 1| <= eps_circle (below)
     eps_residual : tolerance for verifying polynomial identities
     circle_samples : default sampling density on the unit circle (an int)
@@ -23,7 +24,8 @@ class ToleranceConfig:
     Every point test reads the band through ``_unimodular`` and ``_in_closed_disc``
     (|z| - 1 <= eps_circle); NaN is in neither. eps_circle is read elsewhere only as
     ``_closed_disc_zero``'s radius 1 + eps_circle, the root partition's reach
-    max(eps_circle, 1e-4) and ``SynthesisSpec``'s least sigma-tau distance.
+    max(eps_circle, 1e-4), which no root polish crosses, and ``SynthesisSpec``'s least
+    sigma-tau distance.
     """
 
     eps_trim: float = 1e-12

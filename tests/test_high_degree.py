@@ -101,6 +101,16 @@ def test_recover_spec_names_a_miscounted_node_at_degree_32():
         recover_spec(h)
 
 
+@pytest.mark.parametrize(
+    "n, draw, outcome", [(16, 7, "raised"), (48, 1, "right"), (64, 17, "raised")]
+)
+def test_simple_roots_polished_to_convergence_settle_three_sweep_draws(n, draw, outcome):
+    # Each draw came back silently wrong while a bound on the Newton step stopped some
+    # simple royal nodes short of convergence. Polished to convergence, (16, 7) and
+    # (64, 17) raise a named error, and (48, 1) is right.
+    assert sweep_outcome(dict(degree_sweep(n, draw + 1))[draw]) == outcome
+
+
 @pytest.mark.xfail(
     strict=True,
     reason="known defect (ROADMAP item 15): degree_sweep(48) draw 8 returns its type (48, 0) "

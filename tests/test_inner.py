@@ -283,6 +283,19 @@ def test_from_inner_pair_rejects_non_inner():
         from_inner_pair(mismatched, (Poly([1]), Poly([1]), 0))
 
 
+@pytest.mark.parametrize(
+    "phi, psi",
+    [
+        ((Poly([0.5, 1]), Poly([1, 0.5]), 1.0), (Poly([0.5, 1]), Poly([1, 0.5]), 1)),
+        ((Poly([0.5, 1]), Poly([1, 0.5]), True), (Poly([1]), Poly([1]), False)),
+    ],
+    ids=["float", "bool"],
+)
+def test_from_inner_pair_requires_an_integer_degree(phi, psi):
+    with pytest.raises(NotInner, match="^phi: invalid Blaschke data"):
+        from_inner_pair(phi, psi)
+
+
 def test_from_inner_pair_rejects_a_numerator_above_its_degree_bound():
     # Its coefficient 0.01 at lambda^2 lies past the reflection the Blaschke check compares.
     high = (Poly([0.5, 1, 0.01]), Poly([1, 0.5]), 1)

@@ -187,7 +187,7 @@ def _pairwise_cluster(roots, eps_root, ctx):
         len(ordered), lambda i, j: abs(ordered[i] - ordered[j]) <= _CLUSTER_CAP
     ):
         if len(part) == 1:
-            accepted.append((poly._polish_cluster(ctx, ordered[part[0]], 1, 0.0, eps_root), 1))
+            accepted.append((poly._polish_cluster(ctx, ordered[part[0]], 1), 1))
         else:
             members = [ordered[i] for i in sorted(part)]
             accepted.extend(poly._cluster_component(members, eps_root, ctx))
@@ -236,6 +236,35 @@ def test_simple_root_polish_stops_at_convergence(monkeypatch):
             assert abs(p(z)) <= 1e-10 * sum(abs(c) * abs(z) ** k for k, c in enumerate(p.coeffs))
 
 
+def test_newton_cannot_lower_the_residual_of_a_simple_root():
+    # From each polished simple root, one more Newton step does not lower |p|: the polish
+    # ran to convergence. Roots are 3-decimal points in the annulus 0.3 <= |z| <= 1.6.
+    rng = random.Random(322)
+    wanted = []
+    while len(wanted) < 24:
+        z = cmath.rect(rng.uniform(0.3, 1.6), rng.uniform(0, 2 * math.pi))
+        z = complex(round(z.real, 3), round(z.imag, 3))
+        if all(abs(z - w) > 0.05 for w in wanted):
+            wanted.append(z)
+    p = poly_from_roots([(z, 1) for z in wanted])
+    dp = p.derivative()
+    found = roots_with_multiplicity(p)
+    assert [m for _, m in found] == [1] * 24
+    for z, _ in found:
+        assert not abs(p(z - p(z) / dp(z))) < abs(p(z)), z
+
+
+@pytest.mark.parametrize(
+    "roots",
+    [[(0.5, -1)], [(0.5, 1.5)], [(0.5, True)], [(0.5, 1), (2, False)]],
+    ids=["negative", "float", "true", "false"],
+)
+def test_poly_from_roots_requires_nonnegative_integer_multiplicities(roots):
+    with pytest.raises(BadParameter, match="multiplicity must be a nonnegative integer"):
+        poly_from_roots(roots)
+    assert poly_from_roots([(0.5, 0), (2.0, 1)]).coeffs == (-2, 1)
+
+
 @functools.cache
 def _pool_polys():
     """R and E of the first 12 maps synthesized from random_spec(Random(20240214))."""
@@ -263,7 +292,6 @@ def test_one_sided_roots_keep_their_side_bit_for_bit(f, tol):
     full = roots_with_multiplicity(f, tol)
     raw = np.roots([c / f.max_coeff for c in reversed(f.coeffs)]).tolist()
     reach = max(tol.eps_circle, 1e-4)
-    leash = 4.0 * min(tol.eps_root, _CLUSTER_CAP) + 1e-12
     for keep, side in (("disc", 1.0), ("outside", -1.0)):
         found = roots_with_multiplicity(f, tol, keep)
         kept = [(z, m) for z, m in found if side * (abs(z) - 1.0) <= reach]
@@ -271,10 +299,21 @@ def test_one_sided_roots_keep_their_side_bit_for_bit(f, tol):
         assert sorted(m for _, m in found) == sorted(m for _, m in full)
         for z, m in (p for p in found if side * (abs(p[0]) - 1.0) > reach):
             isolated = m == 1 and sum(abs(w - z) <= _CLUSTER_CAP for w in raw) == 1
-            if isolated and side * (abs(z) - 1.0) > reach + leash * (1.0 + abs(z)):
+            if isolated and side * (abs(z) - 1.0) > reach:
                 assert any(same_bits(z, w) for w in raw)
             else:
                 assert repr((z, m)) in map(repr, full)
+
+
+def test_no_polish_carries_a_root_across_the_circle_band():
+    # Under a leading coefficient of 7.6e-101 the raw roots of 1 + 1.5 z + z^2 come back as
+    # -1.5 and 0, not on the circle. Newton from -1.5 lowers |f| on its way to -0.83, inside
+    # the circle, so that polish returns its start, as keep="disc" does, which leaves
+    # -1.5 raw: both report the same kept side.
+    f = Poly([1j, 1.5j, 1j, 7.645279415111721e-101j])
+    full = roots_with_multiplicity(f)
+    assert (-1.5 + 0j, 1) in full
+    assert roots_with_multiplicity(f, keep="disc") == full
 
 
 def test_nonfinite_coefficients_rejected():
