@@ -117,15 +117,15 @@ def parse_poly(text: str) -> Poly:
     return _poly_at(_load(text), "$")
 
 
-def parse_gamma_inner(
-    text: str, tol: ToleranceConfig = DEFAULT_TOL, strict: bool = True
-) -> GammaInner:
+def parse_gamma_inner(text: str, tol: ToleranceConfig = DEFAULT_TOL) -> GammaInner:
+    """The map a document {"E", "D", "n"} describes, validated strictly (no zero of D on
+    the closed disc) at ``tol``; a map ``validate`` rejects raises ``ValidationError``."""
     doc = _load(text)
     e = _poly_at(_field(doc, "E", "$"), "$.E")
     d = _poly_at(_field(doc, "D", "$"), "$.D")
     n = _integer(_field(doc, "n", "$"), "$.n")
     try:
-        return validate(e, d, n, tol, strict=strict)
+        return validate(e, d, n, tol)
     except GammaKitError as exc:
         raise ValidationError(f"not a valid inner map: {exc}") from exc
 

@@ -184,7 +184,7 @@ def l_factor(tau: complex, tol: ToleranceConfig = DEFAULT_TOL) -> Poly:
 
 
 _CLUSTER_CAP = 1e-2
-_CIRCLE_REACH = 1e-4  # partition_circle_roots' soft annulus is never wider than this or eps_circle
+_CIRCLE_REACH = 1e-4  # _ClusterContext's reach is the larger of this and eps_circle
 
 
 def _components(count, linked):
@@ -217,17 +217,20 @@ def _abs_bound(cs, z):
 
 
 class _ClusterContext:
-    """Derivatives and residual floors of one polynomial, for clustering.
+    """Derivatives, residual floors and clustering scales of one polynomial under one tolerance.
 
-    ``eps_coeff`` declares the relative uncertainty the coefficients carry
-    from upstream arithmetic (for example the cancellation in 4 D D~ - E^2);
-    the tolerance's coefficient noise is the natural level. Differentiation scales each
-    coefficient linearly, so the relative noise survives it. No polish crosses ``reach``.
+    The only place a ``ToleranceConfig`` becomes clustering parameters: ``noise`` adds
+    ``eps_trim``, the relative noise upstream arithmetic leaves in the coefficients (as the
+    cancellation in 4 D D~ - E^2 does), which differentiation keeps; ``eps_root`` is the
+    linkage and merge scale; no polish crosses ``reach`` = max(eps_circle, 1e-4); and an
+    isolated root whose ``band_side`` is ``discard``, the side ``keep`` drops, stays raw.
     """
 
-    def __init__(self, f: Poly, eps_coeff: float = 0.0, reach: float = _CIRCLE_REACH):
-        self.noise = 4.0 * max(f.degree, 1) * _EPS + eps_coeff
-        self.reach = reach
+    def __init__(self, f: Poly, tol: ToleranceConfig, keep: str | None = None):
+        self.noise = 4.0 * max(f.degree, 1) * _EPS + tol.eps_trim
+        self.eps_root = tol.eps_root
+        self.reach = max(tol.eps_circle, _CIRCLE_REACH)
+        self.discard = {None: None, "disc": 1, "outside": -1}[keep]
         self._derivs = [f.coeffs]
 
     def band_side(self, z: complex) -> int:
@@ -293,14 +296,14 @@ class _ClusterContext:
         return True
 
 
-def _cluster(roots, eps_root, ctx: _ClusterContext, unpolished=frozenset()):
+def _cluster(roots, ctx: _ClusterContext):
     """Cluster raw roots into polished (root, multiplicity) pairs.
 
     Every linkage radius of the hypothesis walk is capped at
     ``_CLUSTER_CAP``, so no group it forms can straddle two components of
     the single-linkage graph at the cap. Each component is therefore walked
     on its own, and an isolated root, the generic case, is polished as a
-    simple root without any hypothesis test, or kept raw if in ``unpolished``.
+    simple root without any hypothesis test, or kept raw on ``ctx.discard``'s side.
     A sweep over the sorted roots finds the linked ones, as a partner within
     the cap is within it in real part. Components keep their members in
     sorted (real, imag) order, which fixes the order of every centroid sum.
@@ -314,18 +317,18 @@ def _cluster(roots, eps_root, ctx: _ClusterContext, unpolished=frozenset()):
             if abs(ordered[j] - z) <= _CLUSTER_CAP:
                 linked.update((i, j))
     near = [ordered[i] for i in sorted(linked)]
-    accepted = [(z if z in unpolished else _polish_cluster(ctx, z, 1), 1)
+    accepted = [(z if ctx.band_side(z) == ctx.discard else _polish_cluster(ctx, z, 1), 1)
                 for z in ordered if z not in near]
     for part in _components(len(near), lambda a, b: abs(near[a] - near[b]) <= _CLUSTER_CAP):
-        accepted.extend(_cluster_component([near[a] for a in sorted(part)], eps_root, ctx))
+        accepted.extend(_cluster_component([near[a] for a in sorted(part)], ctx))
     return accepted
 
 
-def _cluster_component(roots, eps_root, ctx: _ClusterContext):
+def _cluster_component(roots, ctx: _ClusterContext):
     """Multiplicity hypotheses over the roots of one cap-level component.
 
     Hypotheses are tested from high m downward. The linkage radius for a
-    hypothesis combines the eps_root**(1/m) heuristic with the residual
+    hypothesis combines the ``ctx.eps_root``**(1/m) heuristic with the residual
     resolvability radius at each point, capped so that genuinely separated
     roots stay apart; a linked group is accepted only when it holds at least
     m roots and the polished center passes the backward-error test that all
@@ -339,7 +342,7 @@ def _cluster_component(roots, eps_root, ctx: _ClusterContext):
         if m > len(pending):
             continue
         radii = [
-            min(max(eps_root ** (1.0 / m), 8.0 * ctx.resolvability(z, m)), _CLUSTER_CAP)
+            min(max(ctx.eps_root ** (1.0 / m), 8.0 * ctx.resolvability(z, m)), _CLUSTER_CAP)
             for z in pending
         ]
 
@@ -409,11 +412,12 @@ def roots_with_multiplicity(
     ``keep`` is the side the caller keeps: None (every root polished), the
     closed "disc" (``royal_profile``, ``_closed_disc_roots``) or the "outside"
     (``fejer_riesz``). An isolated root on the other side, farther than
-    ``partition_circle_roots``' reach max(eps_circle, 1e-4), stays its raw
-    eigenvalue. No polish crosses the reach, so the kept side is bit for bit
-    what ``keep=None`` returns, for either circle classifier:
-    ``_closed_disc_roots`` for D and E, whose circle zeros may be simple, and
-    ``partition_circle_roots`` for R and Fejer-Riesz symbols (even order).
+    ``_ClusterContext``'s reach max(eps_circle, 1e-4), stays its raw eigenvalue.
+    No polish crosses the reach, so the kept side is bit for bit what
+    ``keep=None`` returns, for either circle classifier: ``_closed_disc_roots``
+    for D and E, whose circle zeros may be simple, and ``partition_circle_roots``
+    for R and Fejer-Riesz symbols (even order). A leading coefficient too small
+    for a finite companion matrix raises ``BadParameter``.
     """
     if keep not in (None, "disc", "outside"):
         raise ValueError(f"keep must be None, 'disc' or 'outside', not {keep!r}")
@@ -430,14 +434,14 @@ def roots_with_multiplicity(
     cs = cs[zeros_at_origin:]
     clustered = [(0j, zeros_at_origin)] if zeros_at_origin else []
     if len(cs) > 1:
-        reach = max(tol.eps_circle, _CIRCLE_REACH)
-        ctx = _ClusterContext(f, tol.eps_trim, reach)
         companion = np.diag(np.ones(len(cs) - 2, dtype=complex), -1)
-        companion[0, :] = -np.array(cs[-2::-1]) / cs[-1]
+        with np.errstate(over="ignore", invalid="ignore"):
+            companion[0, :] = -np.array(cs[-2::-1]) / cs[-1]
+        if not np.isfinite(companion[0]).all():
+            raise BadParameter(f"the leading coefficient is {abs(cs[-1]):.3g} times the largest, "
+                               "too small for a finite companion matrix")
         raw = np.linalg.eigvals(companion).tolist()
-        side = {None: 0.0, "disc": 1.0, "outside": -1.0}[keep]
-        far = {z for z in raw if side * (abs(z) - 1.0) > reach}
-        clustered.extend(_cluster(raw, tol.eps_root, ctx, far))
+        clustered.extend(_cluster(raw, _ClusterContext(f, tol, keep)))
     return tuple(sorted(clustered, key=lambda item: (item[0].real, item[0].imag)))
 
 
@@ -469,18 +473,17 @@ def partition_circle_roots(roots, f: Poly, tol: ToleranceConfig):
     order (D and E take ``_closed_disc_roots``' plain band). Roots in the
     circle band (``_unimodular``) are hard circle candidates; roots within
     their estimated location uncertainty of the circle are soft candidates.
-    Candidates are merged angularly and a merged cluster counts as a genuine
-    circle zero only when its total order is even. An odd cluster with a
-    hard member raises ``OddCircleZero``; an odd soft cluster falls back to
-    its members' radial sides.
+    Candidates are merged angularly (``_ClusterContext`` gives the soft band's
+    reach and the merge scale) and a merged cluster counts as a genuine circle
+    zero only when its total order is even. An odd cluster with a hard member
+    raises ``OddCircleZero``; an odd soft cluster falls back to its members' sides.
 
     Returns (circle, inside, outside) where circle holds (point, order)
     pairs with unimodular points and order the full (even) zero order.
     """
     # Soft candidates lie within 8 location uncertainties of the circle and within
     # reach; testing the band and reach first spares the other roots their uncertainty.
-    reach = max(tol.eps_circle, _CIRCLE_REACH)
-    ctx = _ClusterContext(f, eps_coeff=tol.eps_trim)
+    ctx = _ClusterContext(f, tol)
     candidates = []
     inside = []
     outside = []
@@ -490,7 +493,7 @@ def partition_circle_roots(roots, f: Poly, tol: ToleranceConfig):
         hard = _unimodular(z, tol) is not None
         if radius == 0.0:
             inside.append((z, m))
-        elif hard or gap <= reach and gap <= 8.0 * ctx.location_uncertainty(z, m):
+        elif hard or gap <= ctx.reach and gap <= 8.0 * ctx.location_uncertainty(z, m):
             candidates.append((z / radius, m, z, hard))
         elif radius > 1.0:
             outside.append((z, m))
@@ -502,7 +505,7 @@ def partition_circle_roots(roots, f: Poly, tol: ToleranceConfig):
         candidates, key=lambda it: (it[0].real, it[0].imag)
     ):
         for group in clusters:
-            radius = min(tol.eps_root ** (1.0 / (m + group.order)), _CLUSTER_CAP)
+            radius = min(ctx.eps_root ** (1.0 / (m + group.order)), _CLUSTER_CAP)
             if abs(snapped - group.point) <= radius:
                 weighted = group.point * group.order + snapped * m
                 group.point = weighted / abs(weighted)

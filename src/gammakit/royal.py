@@ -115,18 +115,19 @@ def royal_profile(h: GammaInner) -> RoyalProfile:
 
 
 _FLATNESS_FLOOR = 1e-13
+_FLATNESS_CAP = 12
 
 
-def boundary_flatness(h: GammaInner, tau: complex, max_order: int = 12) -> int:
+def boundary_flatness(h: GammaInner, tau: complex) -> int:
     """Order to which |s| attains the value 2 along the circle at tau.
 
     Returns 0 when |s(tau)| stays below 2. Otherwise the vanishing order of
-    2 - |s(e^{it})| is the rounded last log2-ratio of symmetric dyadic
-    samples above ``_FLATNESS_FLOOR``; at a circle royal node of
-    multiplicity nu the result is 2 nu. The base scale shrinks adaptively
-    until the gap is small, so sharply curved nodes (and nearby neighbours)
-    stop contaminating the leading-order model. tau is tested against ``h.tol``'s
-    circle band, as ``eval_h`` tests the samples.
+    2 - |s(e^{it})| is the rounded log2-ratio of the last neighbouring pair of five
+    symmetric dyadic samples both above ``_FLATNESS_FLOOR``, at most ``_FLATNESS_CAP``
+    (else ``OrderOverflow``); at a circle royal node of multiplicity nu it is 2 nu.
+    The base scale shrinks adaptively until the gap is small, so sharply curved
+    nodes (and nearby neighbours) stop contaminating the leading-order model. tau
+    is tested against ``h.tol``'s circle band, as ``eval_h`` tests the samples.
     """
     unit = _unimodular(complex(tau), h.tol)
     if unit is None:
@@ -148,16 +149,15 @@ def boundary_flatness(h: GammaInner, tau: complex, max_order: int = 12) -> int:
     while symmetric[start] > 0.05 and deltas[start] > 1e-5:
         start += 1
 
-    sampled = symmetric[start : start + 5]
-    estimates = []
-    for lo, hi in zip(sampled, sampled[1:]):
+    for i in reversed(range(start, start + 4)):
+        lo, hi = symmetric[i], symmetric[i + 1]
         if lo > _FLATNESS_FLOOR and hi > _FLATNESS_FLOOR:
-            estimates.append(math.log(lo / hi) / math.log(2.0))
-    if not estimates:
+            break
+    else:
         raise OrderOverflow("flatness exceeds every resolvable order at this point")
-    order = max(int(round(estimates[-1])), 0)
-    if order > max_order:
-        raise OrderOverflow(f"estimated order {order} exceeds the cap {max_order}")
+    order = max(int(round(math.log(lo / hi) / math.log(2.0))), 0)
+    if order > _FLATNESS_CAP:
+        raise OrderOverflow(f"estimated order {order} exceeds the cap {_FLATNESS_CAP}")
     return order
 
 

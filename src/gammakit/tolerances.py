@@ -16,16 +16,16 @@ class ToleranceConfig:
     eps_residual : tolerance for verifying polynomial identities
     circle_samples : default sampling density on the unit circle (an int)
 
-    ``eps_trim`` keeps four roles: ``royal_polynomial``'s :class:`RoyalVariety`
-    test, the root clusterer's coefficient noise, the location uncertainty of
-    circle roots and ``eval_h``'s pole test. It zeroes no coefficient; ``Poly``
-    construction drops exact trailing zeros only.
+    ``eps_trim`` keeps three roles: ``royal_polynomial``'s :class:`RoyalVariety`
+    test, ``eval_h``'s pole test and, read by ``_ClusterContext`` alone, the root
+    layer's coefficient noise (clustering and circle-root location uncertainty).
+    It zeroes no coefficient; ``Poly`` construction drops exact trailing zeros only.
 
     Every point test reads the band through ``_unimodular`` and ``_in_closed_disc``
     (|z| - 1 <= eps_circle); NaN is in neither. eps_circle is read elsewhere only as
-    ``_closed_disc_zero``'s radius 1 + eps_circle, the root partition's reach
-    max(eps_circle, 1e-4), which no root polish crosses, and ``SynthesisSpec``'s least
-    sigma-tau distance.
+    ``_closed_disc_zero``'s radius 1 + eps_circle, ``SynthesisSpec``'s least sigma-tau
+    distance and, by ``_ClusterContext`` alone, the root layer's reach max(eps_circle,
+    1e-4), which no root polish crosses and which bounds the circle partition's soft band.
     """
 
     eps_trim: float = 1e-12

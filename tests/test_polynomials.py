@@ -2,6 +2,7 @@ import cmath
 import functools
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from gammakit import (
     q_factor,
     roots_with_multiplicity,
     synthesize,
+    validate,
 )
 import gammakit.polynomials
 from gammakit.polynomials import (
@@ -132,6 +134,25 @@ def test_roots_reject_an_unknown_side(keep):
         roots_with_multiplicity(Poly([1, -2.5, 1]), DEFAULT_TOL, keep)
 
 
+@pytest.mark.parametrize(
+    "solve, ratio",
+    [
+        (lambda: roots_with_multiplicity(Poly([1j, 2.2250738585e-313j])), "2.23e-313"),
+        (lambda: roots_with_multiplicity(Poly([1, 0.5, 1e-310])), "1e-310"),
+        (lambda: validate(Poly([0.2, 0.3, 0.2]), Poly([1, 0.5, 1e-310]), 2, strict=False),
+         "1e-310"),
+    ],
+    ids=["subnormal-imaginary-lead", "subnormal-lead", "non-strict-validate"],
+)
+def test_companion_overflow_raises_a_named_error(solve, ratio):
+    # The companion row -cs[-2::-1] / cs[-1] overflows to inf, which eigvals cannot take;
+    # the error names the leading coefficient over the largest, and no warning is issued.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(BadParameter, match=f"leading coefficient is {ratio} times the largest"):
+            solve()
+
+
 def test_roots_random_recovery():
     rng = random.Random(23)
     for _ in range(20):
@@ -178,7 +199,7 @@ def test_isolated_roots_skip_hypothesis_tests(monkeypatch):
     assert abs(found[4] - z0) < 1e-9
 
 
-def _pairwise_cluster(roots, eps_root, ctx):
+def _pairwise_cluster(roots, ctx):
     """_cluster as it was before the sweep: the cap predicate on every pair."""
     poly = gammakit.polynomials
     ordered = sorted(roots, key=lambda w: (w.real, w.imag))
@@ -190,7 +211,7 @@ def _pairwise_cluster(roots, eps_root, ctx):
             accepted.append((poly._polish_cluster(ctx, ordered[part[0]], 1), 1))
         else:
             members = [ordered[i] for i in sorted(part)]
-            accepted.extend(poly._cluster_component(members, eps_root, ctx))
+            accepted.extend(poly._cluster_component(members, ctx))
     return accepted
 
 
@@ -198,9 +219,9 @@ def test_root_layer_matches_np_roots_and_pairwise_clustering(monkeypatch):
     raw = []
     cluster = gammakit.polynomials._cluster
 
-    def recorded(roots, eps_root, ctx, unpolished=frozenset()):
+    def recorded(roots, ctx):
         raw.append(roots)
-        return cluster(roots, eps_root, ctx, unpolished)
+        return cluster(roots, ctx)
 
     monkeypatch.setattr(gammakit.polynomials, "_cluster", recorded)
     rng = random.Random(29)
@@ -213,10 +234,10 @@ def test_root_layer_matches_np_roots_and_pairwise_clustering(monkeypatch):
         roots_with_multiplicity(p)
         scale = p.max_coeff
         assert raw[-1] == np.roots([c / scale for c in reversed(p.coeffs)]).tolist()
-        ctx = _ClusterContext(p, eps_coeff=DEFAULT_TOL.eps_trim)
+        ctx = _ClusterContext(p, DEFAULT_TOL)
 
         def polished(walk):
-            found = walk(raw[-1], DEFAULT_TOL.eps_root, ctx)
+            found = walk(raw[-1], ctx)
             return sorted(found, key=lambda item: (item[0].real, item[0].imag))
 
         assert polished(cluster) == polished(_pairwise_cluster)
@@ -492,7 +513,7 @@ def test_cluster_ladder_matches_poly_derivatives(cs):
     ladder = [Poly(cs)]
     while ladder[-1].degree > 0:
         ladder.append(ladder[-1].derivative())
-    ctx = _ClusterContext(ladder[0])
+    ctx = _ClusterContext(ladder[0], DEFAULT_TOL)
     for j, rung in enumerate(ladder):
         assert same_bits(ctx.deriv(j), rung.coeffs)
     assert ctx.deriv(len(ladder)) is None
