@@ -263,6 +263,26 @@ def test_boundary_flatness_matches_multiplicity():
             assert boundary_flatness(h, node.location) == 2 * node.multiplicity
 
 
+@pytest.mark.xfail(
+    strict=True,
+    reason="known defect (ROADMAP item 22): the dyadic log2-ratio sampler reads orders "
+    "4 and 3 at two simple circle nodes 0.01 rad apart",
+)
+def test_boundary_flatness_at_close_simple_nodes():
+    spec = SynthesisSpec(
+        alphas=(0.2 + 0.1j,) * 2,
+        taus=(),
+        sigmas=(cmath.exp(1.7j), cmath.exp(1.71j), 0.4j, -0.3),
+        t_plus=1,
+        t=0.5,
+        omega=1,
+    )
+    h = synthesize(spec)
+    profile = royal_profile(h)
+    assert profile.type_pair == (4, 2)
+    assert [boundary_flatness(h, nd.location) for nd in profile.circle_nodes()] == [2, 2]
+
+
 def test_boundary_flatness_geodesic():
     assert boundary_flatness(geodesic(1j), -1) == 2
 
