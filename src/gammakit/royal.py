@@ -17,9 +17,11 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import OddCircleZero, OrderOverflow, RoyalVariety
+from .errors import GammaKitError, OddCircleZero, OrderOverflow, RoyalVariety
 from .inner import GammaInner, eval_h
-from .polynomials import Poly, is_n_symmetric, partition_circle_roots, roots_with_multiplicity
+from .polynomials import (
+    _CLUSTER_CAP, Poly, is_n_symmetric, partition_circle_roots, roots_with_multiplicity,
+)
 from .spectral import circle_extrema, to_trig_shifted
 from .tolerances import DEFAULT_TOL, ToleranceConfig, _band_miss, _unimodular
 
@@ -114,50 +116,36 @@ def royal_profile(h: GammaInner) -> RoyalProfile:
     return profile
 
 
-_FLATNESS_FLOOR = 1e-13
 _FLATNESS_CAP = 12
 
 
 def boundary_flatness(h: GammaInner, tau: complex) -> int:
     """Order to which |s| attains the value 2 along the circle at tau.
 
-    Returns 0 when |s(tau)| stays below 2. Otherwise the vanishing order of
-    2 - |s(e^{it})| is the rounded log2-ratio of the last neighbouring pair of five
-    symmetric dyadic samples both above ``_FLATNESS_FLOOR``, at most ``_FLATNESS_CAP``
-    (else ``OrderOverflow``); at a circle royal node of multiplicity nu it is 2 nu.
-    The base scale shrinks adaptively until the gap is small, so sharply curved
-    nodes (and nearby neighbours) stop contaminating the leading-order model. tau
-    is tested against ``h.tol``'s circle band, as ``eval_h`` tests the samples.
+    Returns 0 when 2 - |s(tau)| exceeds 1e-8. Otherwise the order is 2 nu, nu the
+    multiplicity of the circle node of ``royal_profile(h)`` nearest tau (the
+    paper's flatness statement), so it is even and agrees with the profile. It
+    raises what the profile raises, ``OrderOverflow`` on the royal variety and
+    past ``_FLATNESS_CAP``, and ``GammaKitError`` when no circle node lies within
+    ``_CLUSTER_CAP`` of tau. tau is tested against ``h.tol``'s circle band.
     """
     unit = _unimodular(complex(tau), h.tol)
     if unit is None:
         raise ValueError(f"tau must lie on the unit circle: {_band_miss('tau', tau, h.tol)}")
-    t0 = cmath.phase(unit)
-
-    # Every offset the search below can reach: the base halves from 0.2 at
-    # most 15 times, and five dyadic samples follow it. One batch covers all.
-    deltas = 0.2 * 0.5 ** np.arange(20)
-    ts = t0 + np.concatenate(([0.0], deltas, -deltas))
-    s, _ = eval_h(h, np.exp(1j * ts))
-    gap = 2.0 - np.abs(s)
-    if gap[0] > 1e-8:
+    s, _ = eval_h(h, unit)
+    if 2.0 - abs(s) > 1e-8:
         return 0
-    ahead, behind = gap[1:].reshape(2, -1)
-    symmetric = np.maximum(0.5 * (ahead + behind), 0.0).tolist()
-
-    start = 0
-    while symmetric[start] > 0.05 and deltas[start] > 1e-5:
-        start += 1
-
-    for i in reversed(range(start, start + 4)):
-        lo, hi = symmetric[i], symmetric[i + 1]
-        if lo > _FLATNESS_FLOOR and hi > _FLATNESS_FLOOR:
-            break
-    else:
-        raise OrderOverflow("flatness exceeds every resolvable order at this point")
-    order = max(int(round(math.log(lo / hi) / math.log(2.0))), 0)
+    try:
+        nodes = royal_profile(h).circle_nodes()
+    except RoyalVariety as exc:
+        raise OrderOverflow(f"|s| = 2 on the whole circle: {exc}") from exc
+    nearest = min(nodes, key=lambda nd: abs(nd.location - unit), default=None)
+    if nearest is None or abs(nearest.location - unit) > _CLUSTER_CAP:
+        raise GammaKitError(f"|s(tau)| = {abs(s)!r} at tau = {unit!r}, but the royal profile "
+                            f"has no circle node within {_CLUSTER_CAP} (nearest: {nearest})")
+    order = 2 * nearest.multiplicity
     if order > _FLATNESS_CAP:
-        raise OrderOverflow(f"estimated order {order} exceeds the cap {_FLATNESS_CAP}")
+        raise OrderOverflow(f"order {order} exceeds the cap {_FLATNESS_CAP}")
     return order
 
 
