@@ -9,18 +9,33 @@ the coefficients (ROADMAP item 9, first relation):
 
 tau_m fixes the royal variety s^2 = 4p, so tau_m o h has the royal nodes, the
 multiplicities and the type of h, and its royal polynomial is (1 - |a|^2)^2 R.
+
+The second relation composes on the other side: h o m has the numerator and
+denominator P' = (1 - conj(a) lambda)^n P(m(lambda)), that is
+
+    E' = sum_k e_k (lambda - a)^k (1 - conj(a) lambda)^(n - k),    D' likewise,
+
+so s' = s o m and p' = p o m. Its royal nodes are the preimages m^-1(sigma) of
+those of h, with the same multiplicities, type and boundary flatness orders.
 """
 
 import cmath
 import random
 
+import pytest
+
 from gammakit import (
+    ExtremeNoWitness,
     GammaKitError,
+    NodeRegion,
+    Poly,
+    boundary_flatness,
     conj_reciprocal,
     royal_polynomial,
     royal_profile,
     synthesize,
     validate,
+    witness_non_extreme,
 )
 
 from helpers import random_spec
@@ -29,17 +44,28 @@ MAPS = 100
 A_MAX = 0.6
 
 
-def _automorphism_pairs():
-    """(h, a, tau_m o h) for the synthesizable maps among the first MAPS specs of seed 2001."""
+def _draws(count=MAPS):
+    """(index, spec, a) for the first count specs of seed 2001 and points a of Random(9)."""
     specs = random.Random(2001)
     points = random.Random(9)
-    for _ in range(MAPS):
+    for index in range(count):
         spec = random_spec(specs)
         a = A_MAX * points.random() ** 0.5 * cmath.exp(2j * cmath.pi * points.random())
+        yield index, spec, a
+
+
+def _maps(count=MAPS):
+    """(index, h, a) for the synthesizable specs among ``_draws(count)``."""
+    for index, spec, a in _draws(count):
         try:
-            h = synthesize(spec)
+            yield index, synthesize(spec), a
         except GammaKitError:
             continue
+
+
+def _automorphism_pairs():
+    """(h, a, tau_m o h) for the synthesizable maps among the first MAPS specs of seed 2001."""
+    for _, h, a in _maps():
         d_tilde = conj_reciprocal(h.D, h.n)
         e = (1 + abs(a) ** 2) * h.E - 2 * a * h.D - 2 * a.conjugate() * d_tilde
         d = h.D - a.conjugate() * h.E + a.conjugate() ** 2 * d_tilde
@@ -76,3 +102,77 @@ def test_gamma_automorphism_keeps_nodes_type_and_scales_the_royal_polynomial():
 def _energy(h):
     """4|D|^2 + |E|^2 at frequency 0: the sum of the squared coefficient moduli."""
     return 4 * sum(abs(c) ** 2 for c in h.D.coeffs) + sum(abs(c) ** 2 for c in h.E.coeffs)
+
+
+def _composed(f, a, n):
+    """(1 - conj(a) lambda)^n f(m(lambda)) for deg f <= n, summed term by term."""
+    out = Poly([])
+    for k, c in enumerate(f.padded(n + 1)):
+        term = Poly([c])
+        for factor in [Poly([-a, 1])] * k + [Poly([1, -a.conjugate()])] * (n - k):
+            term = term * factor
+        out = out + term
+    return out
+
+
+def _moved(h, a):
+    """h o m for m(z) = (z - a) / (1 - conj(a) z)."""
+    return validate(_composed(h.E, a, h.n), _composed(h.D, a, h.n), h.n)
+
+
+def _preimage(a, z):
+    return (z + a) / (1 + a.conjugate() * z)
+
+
+def test_disc_automorphism_moves_nodes_and_keeps_type_and_flatness():
+    checked = 0
+    for index, h, a in _maps():
+        if index == 4:  # its moved map raises OddCircleZero: the strict xfail below
+            continue
+        moved = _moved(h, a)
+        before, after = royal_profile(h), royal_profile(moved)
+        assert after.type_pair == before.type_pair, (index, a, before, after)
+        for node in before.nodes:
+            image = _preimage(a, node.location)
+            found = [
+                nd for nd in after.nodes
+                if nd.region == node.region and nd.multiplicity == node.multiplicity
+                and abs(nd.location - image) <= 1e-5
+            ]
+            assert found, (index, a, node, after)
+            if node.region is NodeRegion.CIRCLE:
+                order = boundary_flatness(h, node.location)
+                assert order % 2 == 0, (index, node, order)
+                assert boundary_flatness(moved, found[0].location) == order, (index, node)
+        checked += 1
+    assert checked >= 0.9 * MAPS
+
+
+def _moved_draw(index):
+    _, spec, a = list(_draws(index + 1))[index]
+    h = synthesize(spec)
+    return h, _moved(h, a)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="known defect (ROADMAP item 1): the moved map of spec 4 is valid, yet "
+    "royal_profile raises OddCircleZero on a simple circle zero of its royal polynomial",
+)
+def test_disc_automorphism_of_spec_4_keeps_its_type():
+    h, moved = _moved_draw(4)
+    assert royal_profile(moved).type_pair == royal_profile(h).type_pair
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="known defect (ROADMAP items 1 and 10): the moved map of spec 208 is truly "
+    "s-extreme, type (10, 9), but its profile reads (11, 4) and the witness search "
+    "returns a witness of non-extremity",
+)
+def test_moved_extreme_map_keeps_its_type_and_has_no_witness():
+    h, moved = _moved_draw(208)
+    assert royal_profile(h).type_pair == (10, 9)
+    assert royal_profile(moved).type_pair == (10, 9)
+    with pytest.raises(ExtremeNoWitness):
+        witness_non_extreme(moved)
