@@ -95,6 +95,12 @@ def _check_finite(mags, what: str = "polynomial") -> None:
         raise BadParameter(f"{what} coefficients must be finite")
 
 
+def _check_int(value, name: str) -> None:
+    """Raise :class:`BadParameter` unless value is an int; a bool is not one."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise BadParameter(f"{name} must be an integer, not {value!r}")
+
+
 def _normalized(cs):
     """Slice of the complex sequence cs that ``Poly.__init__`` keeps: non-finite entries
     raise, and trailing exact zeros (either sign in either part) go; nothing else does."""
@@ -130,6 +136,7 @@ def conj_reciprocal(f: Poly, n: int) -> Poly:
 
     Coefficient k of the result is the conjugate of coefficient n-k of f.
     """
+    _check_int(n, "the reflection bound n")
     if n < 0:
         raise DegreeExceedsBound(f"reflection bound must be nonnegative, got {n}")
     if f.degree > n:
@@ -140,6 +147,7 @@ def conj_reciprocal(f: Poly, n: int) -> Poly:
 
 def is_n_symmetric(f: Poly, n: int, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     """True when f equals its n-reflection within ``eps_residual`` slack."""
+    _check_int(n, "the reflection bound n")
     if n < 0 or f.degree > n:
         return False
     mirrored = conj_reciprocal(f, n)

@@ -20,7 +20,8 @@ import numpy as np
 from .errors import GammaKitError, OddCircleZero, OrderOverflow, RoyalVariety
 from .inner import GammaInner, eval_h
 from .polynomials import (
-    _CLUSTER_CAP, Poly, is_n_symmetric, partition_circle_roots, roots_with_multiplicity,
+    _CLUSTER_CAP, Poly, _check_int, is_n_symmetric, partition_circle_roots,
+    roots_with_multiplicity,
 )
 from .spectral import circle_extrema, to_trig_shifted
 from .tolerances import DEFAULT_TOL, ToleranceConfig, _band_miss, _unimodular
@@ -74,6 +75,7 @@ def royal_polynomial(h: GammaInner) -> Poly:
 
 def is_n_balanced(r: Poly, n: int, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     """True when deg R <= 2n, R is 2n-symmetric and lambda^{-n} R >= 0 on the circle."""
+    _check_int(n, "n")
     if r.is_zero() or r.degree > 2 * n or not is_n_symmetric(r, 2 * n, tol):
         return False
     shifted = to_trig_shifted(r, n, tol)

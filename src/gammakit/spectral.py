@@ -23,6 +23,7 @@ from .polynomials import (
     _EPS,
     Poly,
     _check_finite,
+    _check_int,
     _horner,
     _normalized,
     _schur_cohn_outer,
@@ -139,6 +140,7 @@ def _correlation(a, b) -> list[complex]:
 
 def to_trig_shifted(p: Poly, n: int, tol: ToleranceConfig = DEFAULT_TOL) -> TrigPoly:
     """Laurent coefficients of lambda^{-n} P for a 2n-symmetric P."""
+    _check_int(n, "n")
     if not is_n_symmetric(p, 2 * n, tol):
         raise NotBalanced(f"polynomial is not {2 * n}-symmetric")
     padded = p.padded(2 * n + 1)
@@ -171,6 +173,7 @@ def circle_extrema(f: TrigPoly, samples: int) -> tuple[float, float]:
     Returns the smallest value seen, grid point or iterate, and its angle
     mod 2 pi.
     """
+    _check_int(samples, "samples")
     return _refine_minimum(f, _grid_values(f.coeffs[f.n :], _extrema_grid_size(f.n, samples)))
 
 

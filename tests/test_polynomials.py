@@ -2,6 +2,7 @@ import cmath
 import functools
 import math
 import random
+import re
 import warnings
 
 import numpy as np
@@ -17,13 +18,16 @@ from gammakit import (
     TrigPoly,
     ZeroPolynomial,
     conj_reciprocal,
+    circle_extrema,
     fejer_riesz,
+    is_n_balanced,
     is_n_symmetric,
     l_factor,
     poly_from_roots,
     q_factor,
     roots_with_multiplicity,
     synthesize,
+    to_trig_shifted,
     validate,
 )
 import gammakit.polynomials
@@ -74,6 +78,26 @@ def test_conj_reciprocal_examples():
 def test_conj_reciprocal_degree_guard():
     with pytest.raises(DegreeExceedsBound):
         conj_reciprocal(Poly([1, 1, 1]), 1)
+
+
+_BALANCED = Poly([0, 2, 4, 2])  # 4-symmetric, and lambda^-2 of it is nonnegative
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda n: conj_reciprocal(Poly([1, 2]), n),
+        lambda n: is_n_symmetric(Poly([1, 2]), n),
+        lambda n: to_trig_shifted(_BALANCED, n),
+        lambda n: is_n_balanced(_BALANCED, n),
+        lambda n: circle_extrema(to_trig_shifted(_BALANCED, 2), n),
+    ],
+    ids=["conj_reciprocal", "is_n_symmetric", "to_trig_shifted", "is_n_balanced", "circle_extrema"],
+)
+@pytest.mark.parametrize("bad", [True, 1.0, "1024", math.nan, math.inf], ids=repr)
+def test_integer_parameters_reject_other_types(call, bad):
+    with pytest.raises(BadParameter, match=f"must be an integer, not {re.escape(repr(bad))}$"):
+        call(bad)
 
 
 def test_conj_reciprocal_involution():
