@@ -19,10 +19,8 @@ import numpy as np
 
 from .errors import GammaKitError, OddCircleZero, OrderOverflow, RoyalVariety
 from .inner import GammaInner, eval_h
-from .polynomials import (
-    _CLUSTER_CAP, Poly, _check_int, is_n_symmetric, partition_circle_roots,
-    roots_with_multiplicity,
-)
+from .polynomials import _CLUSTER_CAP, Poly, _check_int, is_n_symmetric
+from .polynomials import partition_circle_roots, roots_with_multiplicity
 from .spectral import circle_extrema, to_trig_shifted
 from .tolerances import DEFAULT_TOL, ToleranceConfig, _band_miss, _unimodular
 
@@ -124,12 +122,11 @@ _FLATNESS_CAP = 12
 def boundary_flatness(h: GammaInner, tau: complex) -> int:
     """Order to which |s| attains the value 2 along the circle at tau.
 
-    Returns 0 when 2 - |s(tau)| exceeds 1e-8. Otherwise the order is 2 nu, nu the
-    multiplicity of the circle node of ``royal_profile(h)`` nearest tau (the
-    paper's flatness statement), so it is even and agrees with the profile. It
-    raises what the profile raises, ``OrderOverflow`` on the royal variety and
-    past ``_FLATNESS_CAP``, and ``GammaKitError`` when no circle node lies within
-    ``_CLUSTER_CAP`` of tau. tau is tested against ``h.tol``'s circle band.
+    0 when 2 - |s(tau)| exceeds 1e-8; otherwise 2 nu for the circle node of
+    ``royal_profile(h)`` nearest tau, of multiplicity nu (the paper's flatness
+    statement). Raises what the profile raises, ``OrderOverflow`` on the royal
+    variety and past ``_FLATNESS_CAP``, and ``GammaKitError`` when no circle node
+    lies within ``_CLUSTER_CAP`` of tau. tau must lie in ``h.tol``'s circle band.
     """
     unit = _unimodular(complex(tau), h.tol)
     if unit is None:
