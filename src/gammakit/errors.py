@@ -90,7 +90,7 @@ class DifferentSecondComponent(GammaKitError):
 
 
 class OrderOverflow(GammaKitError):
-    """A boundary flatness estimate exceeded the requested maximum order."""
+    """A boundary flatness order exceeds the cap of 12, or |s| = 2 on the whole circle."""
 
 
 class ParseError(GammaKitError):
