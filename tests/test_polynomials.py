@@ -17,8 +17,8 @@ from gammakit import (
     Poly,
     TrigPoly,
     ZeroPolynomial,
-    conj_reciprocal,
     circle_extrema,
+    conj_reciprocal,
     fejer_riesz,
     is_n_balanced,
     is_n_symmetric,
