@@ -3,16 +3,12 @@
 Digits come from Schubfach (R. Giulietti, 2020) on uint64 arrays and 32-bit limb tables, in
 4-digit groups; the layout is Python's 'r' format, scattered from the last digit.
 
-Every array of block length is a row of one workspace that numpy fills through `out=`:
-1.3 MB for a block of 1,024 nine-field rows, one per thread, allocated on the thread's first
-call and kept. Fresh temporaries of that size grew the heap on every call, glibc trimmed it
-on return and the next call faulted the pages back in. A call that finds its thread's
-workspace busy (re-entered, say, from a finalizer) renders with a fresh one.
+Every array of block length is a row of one workspace that numpy fills through `out=`,
+allocated once per call and freed on return: a render of 1,024 nine-field rows peaks at
+about 1.5 MiB, and nothing is kept between calls.
 """
 
 from __future__ import annotations
-
-import threading
 
 import numpy as np
 
@@ -42,7 +38,6 @@ _TZ4 = sum(np.arange(10**4) % 10**i == 0 for i in range(1, 5)).astype(np.uint8)
 # Column x + 324, row i: byte i of "e-05", "e+100" and so on; the separator, written
 # later, overwrites the pad byte of a 2-digit exponent.
 _EXPONENTS = np.array([list(f"e{x:+03},".encode()[:5]) for x in range(-324, 309)], np.uint8).T
-_LOCAL = threading.local()
 
 
 def repr_blocks(values: np.ndarray, width: int, head: bytes):
@@ -50,18 +45,12 @@ def repr_blocks(values: np.ndarray, width: int, head: bytes):
     the first block's text starts with the ASCII head."""
     step = width * 1024  # rows per block, which bounds the workspace
     size = min(values.size, step)
-    # The thread's workspace is taken while it renders, so a call re-entered meanwhile (say,
-    # from a finalizer) finds none and makes its own: 13 rows of 64-bit words, 8 of flags or
-    # bytes, and the text: the head, at most 25 bytes per value with its separator, an overrun.
-    ws, _LOCAL.ws = getattr(_LOCAL, "ws", None), None
-    text = len(head) + 25 * size + 18
-    if ws is None or ws[0].shape[1] < size or ws[2].size < text:
-        ws = np.empty((13, size), _U), np.empty((8, size), bool), np.empty(text, np.uint8)
-    try:
-        for lo in range(0, values.size, step):
-            yield _render(values[lo:lo + step], width, *ws, head if lo == 0 else b"")
-    finally:
-        _LOCAL.ws = ws
+    # 13 rows of 64-bit words, 8 of flags or bytes, and the text: the head, at most 25 bytes
+    # per value with its separator, an overrun.
+    text = np.empty(len(head) + 25 * size + 18, np.uint8)
+    ws = np.empty((13, size), _U), np.empty((8, size), bool), text
+    for lo in range(0, values.size, step):
+        yield _render(values[lo:lo + step], width, *ws, head if lo == 0 else b"")
 
 
 def _mulhi(ah, al, bh, bl, out, tmp):

@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import operator
 from typing import NamedTuple
 
 import numpy as np
@@ -223,7 +224,11 @@ def trace_boundary(h: GammaInner, samples: int) -> list[TraceRow]:
     with the band edge and b_residual = |s - conj(s) p| distinguished-boundary
     fidelity.
     """
-    if samples % 1 or samples < 16:  # a fractional count leaves the loop open
+    try:
+        samples = operator.index(samples)  # a fractional count leaves the loop open
+    except TypeError:
+        samples = 0
+    if samples < 16:
         raise ValueError("samples must be an integer of at least 16")
     ts = 2.0 * math.pi * np.arange(samples) / samples
     s, p = eval_h(h, np.exp(1j * ts))

@@ -17,6 +17,12 @@ denominator P' = (1 - conj(a) lambda)^n P(m(lambda)), that is
 
 so s' = s o m and p' = p o m. Its royal nodes are the preimages m^-1(sigma) of
 those of h, with the same multiplicities, type and boundary flatness orders.
+
+A rotation rho(lambda) = omega lambda with |omega| = 1 is the special case a = 0
+with a unimodular factor: (E'', D'')(lambda) = omega^(-n/2) (E, D)(omega lambda)
+multiplies coefficient k by omega^(k - n/2), which keeps E'' n-symmetric and
+gives p o rho = D''~/D''. Its royal nodes are conj(omega) sigma. A real scaling
+(cE, cD) leaves s and p, and so every node, as they are.
 """
 
 import cmath
@@ -124,26 +130,55 @@ def _preimage(a, z):
     return (z + a) / (1 + a.conjugate() * z)
 
 
+def _assert_nodes_follow(h, moved, image, radius, context):
+    """moved has the type of h and, for each node sigma of h, a node of the same region and
+    multiplicity within radius of image(sigma), with equal, even flatness on the circle."""
+    before, after = royal_profile(h), royal_profile(moved)
+    assert after.type_pair == before.type_pair, (context, before, after)
+    for node in before.nodes:
+        target = image(node.location)
+        found = [
+            nd for nd in after.nodes
+            if nd.region == node.region and nd.multiplicity == node.multiplicity
+            and abs(nd.location - target) <= radius
+        ]
+        assert found, (context, node, after)
+        if node.region is NodeRegion.CIRCLE:
+            order = boundary_flatness(h, node.location)
+            assert order % 2 == 0, (context, node, order)
+            assert boundary_flatness(moved, found[0].location) == order, (context, node)
+
+
 def test_disc_automorphism_moves_nodes_and_keeps_type_and_flatness():
     checked = 0
     for index, h, a in _maps():
         if index == 4:  # its moved map raises OddCircleZero: the strict xfail below
             continue
-        moved = _moved(h, a)
-        before, after = royal_profile(h), royal_profile(moved)
-        assert after.type_pair == before.type_pair, (index, a, before, after)
-        for node in before.nodes:
-            image = _preimage(a, node.location)
-            found = [
-                nd for nd in after.nodes
-                if nd.region == node.region and nd.multiplicity == node.multiplicity
-                and abs(nd.location - image) <= 1e-5
-            ]
-            assert found, (index, a, node, after)
-            if node.region is NodeRegion.CIRCLE:
-                order = boundary_flatness(h, node.location)
-                assert order % 2 == 0, (index, node, order)
-                assert boundary_flatness(moved, found[0].location) == order, (index, node)
+        _assert_nodes_follow(h, _moved(h, a), lambda z: _preimage(a, z), 1e-5, (index, a))
+        checked += 1
+    assert checked >= 0.9 * MAPS
+
+
+def _rotated(f, omega, n):
+    """omega^(-n/2) f(omega lambda): coefficient k times omega^(k - n/2), for |omega| = 1."""
+    return Poly([c * omega ** (k - n / 2) for k, c in enumerate(f.padded(n + 1))])
+
+
+def test_rotation_moves_nodes_by_the_conjugate_angle():
+    angles, checked = random.Random(11), 0
+    for index, h, _ in _maps():
+        omega = cmath.exp(2j * cmath.pi * angles.random())
+        moved = validate(_rotated(h.E, omega, h.n), _rotated(h.D, omega, h.n), h.n)
+        _assert_nodes_follow(h, moved, lambda z: omega.conjugate() * z, 1e-8, (index, omega))
+        checked += 1
+    assert checked >= 0.9 * MAPS
+
+
+@pytest.mark.parametrize("c", [-3, 0.5, 2, 1e3])
+def test_real_scaling_keeps_the_map_and_its_nodes(c):
+    checked = 0
+    for index, h, _ in _maps():
+        _assert_nodes_follow(h, validate(c * h.E, c * h.D, h.n), lambda z: z, 1e-8, (index, c))
         checked += 1
     assert checked >= 0.9 * MAPS
 

@@ -328,7 +328,7 @@ def test_trace_csv_converts_every_field_as_float_does():
 
 
 def test_trace_csv_renders_in_parallel_threads():
-    # Each thread renders in a workspace of its own, which grows with its longest trace.
+    # Each call renders in a workspace of its own, so threads rendering at once share none.
     traces = [trace_boundary(h, 1024 + 16 * i) for i, h in enumerate(_trace_maps()[1:])]
     lengths = (16, 512, None, None, None)
     start = threading.Barrier(len(traces), timeout=60)
@@ -350,8 +350,8 @@ def test_trace_csv_renders_in_parallel_threads():
 
 
 def test_trace_csv_leaves_no_stale_bytes():
-    # One thread, fresh at the start: the workspace is sized by the first block and reused,
-    # so every later render must overwrite whatever it reads.
+    # Each call's fresh np.empty can hand back memory an earlier render freed, still
+    # holding its bytes, so every render must overwrite whatever it reads.
     special = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e100]
     marked = [list(row) for row in trace_boundary(h_nu(3, 0.5), 1024)]
     marked[0][:6], marked[-1][3:] = special, special
@@ -363,10 +363,10 @@ def test_trace_csv_leaves_no_stale_bytes():
 
 
 def test_trace_csv_reentered_mid_render(monkeypatch):
-    # A render reached again while its thread's workspace is busy, as from a finalizer
-    # between two numpy calls, renders with a fresh one and leaves the outer render intact.
+    # A render reached again mid-render, as from a finalizer between two numpy calls,
+    # renders in a workspace of its own and leaves the outer render intact.
     outer, inner = trace_boundary(h_nu(3, 0.5), 1024), trace_boundary(h_nu(1, 0.5), 1024)
-    trace_to_csv(outer)  # this thread now has a workspace of full size
+    trace_to_csv(outer)
     shortest, seen = _floatrepr._shortest, []
 
     def reentering(*args):
@@ -381,19 +381,27 @@ def test_trace_csv_reentered_mid_render(monkeypatch):
     assert seen[0].split("\n") == _reference_csv(inner).split("\n")
 
 
-def test_trace_csv_warm_call_allocates_little():
-    # After the first call a render reuses its thread's workspace: a warm call allocates
-    # its input array and output string (about 178 KiB here) and little more. The header
-    # is rendered into the one block's text, so that string is not copied once more.
+def test_trace_csv_render_keeps_nothing_and_peaks_low():
+    # A render allocates one workspace for its call and frees it on return, so a thread
+    # that has not rendered before keeps nothing afterwards. The peak holds the workspace
+    # (about 1.3 MB for 1,024 rows), the input array and the output string.
     rows = trace_boundary(h_nu(3, 0.5), 1024)
-    trace_to_csv(rows)
-    tracemalloc.start()
-    try:
-        trace_to_csv(rows)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 384 * 1024
+    trace_to_csv(rows)  # numpy caches its loops for these arrays on a first call
+
+    def measure():
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            trace_to_csv(rows)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return kept - before, peak
+
+    with concurrent.futures.ThreadPoolExecutor(1) as pool:
+        kept, peak = pool.submit(measure).result(timeout=60)
+    assert kept < 4 * 1024
+    assert peak < 2 * 1024 * 1024
 
 
 def _near_pole_map():
@@ -456,6 +464,18 @@ def test_trace_requires_enough_samples():
         with pytest.raises(ValueError):
             trace_boundary(h_nu(0, 0.5), samples)
     assert len(trace_boundary(h_nu(0, 0.5), np.int64(16))) == 16
+
+
+@pytest.mark.parametrize("samples", ["1024", 1024.0, np.float64(64.0), fractions.Fraction(64),
+                                     decimal.Decimal(64), None, True])
+def test_trace_rejects_a_sample_count_that_is_not_an_integer(samples):
+    with pytest.raises(ValueError, match="samples must be an integer of at least 16"):
+        trace_boundary(h_nu(0, 0.5), samples)
+
+
+@pytest.mark.parametrize("samples", [np.int64(64), np.int32(64), np.uint16(64)])
+def test_trace_takes_any_integer_sample_count(samples):
+    assert trace_boundary(h_nu(0, 0.5), samples) == trace_boundary(h_nu(0, 0.5), 64)
 
 
 # -- command line -------------------------------------------------------------
