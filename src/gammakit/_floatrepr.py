@@ -5,7 +5,8 @@ Digits come from Schubfach (R. Giulietti, 2020) on uint64 arrays and 32-bit limb
 
 Every array of block length is a row of one workspace that numpy fills through `out=`,
 allocated once per call and freed on return: a render of 1,024 nine-field rows peaks at
-about 1.5 MiB, and nothing is kept between calls.
+about 1.5 MiB, and nothing is kept between calls. The text holds the values alone: a caller
+writes any header itself.
 """
 
 from __future__ import annotations
@@ -40,17 +41,15 @@ _TZ4 = sum(np.arange(10**4) % 10**i == 0 for i in range(1, 5)).astype(np.uint8)
 _EXPONENTS = np.array([list(f"e{x:+03},".encode()[:5]) for x in range(-324, 309)], np.uint8).T
 
 
-def repr_blocks(values: np.ndarray, width: int, head: bytes):
-    """Yield the repr of each float64, ',' between and '\\n' after each width, by row blocks;
-    the first block's text starts with the ASCII head."""
+def repr_blocks(values: np.ndarray, width: int):
+    """Yield the repr of each float64, ',' between and '\\n' after each width, by row blocks."""
     step = width * 1024  # rows per block, which bounds the workspace
     size = min(values.size, step)
-    # 13 rows of 64-bit words, 8 of flags or bytes, and the text: the head, at most 25 bytes
-    # per value with its separator, an overrun.
-    text = np.empty(len(head) + 25 * size + 18, np.uint8)
-    ws = np.empty((13, size), _U), np.empty((8, size), bool), text
+    # 13 rows of 64-bit words, 8 of flags or bytes, and the text: at most 25 bytes per value
+    # with its separator, and an overrun.
+    ws = np.empty((13, size), _U), np.empty((8, size), bool), np.empty(25 * size + 18, np.uint8)
     for lo in range(0, values.size, step):
-        yield _render(values[lo:lo + step], width, *ws, head if lo == 0 else b"")
+        yield _render(values[lo:lo + step], width, *ws)
 
 
 def _mulhi(ah, al, bh, bl, out, tmp):
@@ -129,7 +128,7 @@ def _shortest(bits, w, f):
     return s, k
 
 
-def _render(values, width, words, flags, text, head):
+def _render(values, width, words, flags, text):
     size = values.size
     w, f = words[:, :size], flags[:, :size]
     d, point = _shortest(values.view(_U), w, f)
@@ -189,7 +188,7 @@ def _render(values, width, words, flags, text, head):
     np.copyto(length, e_len, where=expo)
     np.add(np.add(length, neg, out=length), lead, out=length)
     np.cumsum(np.add(length, 1, out=sep), out=sep)
-    sep += len(head) - 1
+    sep -= 1
     np.add(np.subtract(sep, length, out=base), neg, out=base)
     base += lead  # where each value's first digit goes
     exp_at = np.flatnonzero(expo)
@@ -210,10 +209,9 @@ def _render(values, width, words, flags, text, head):
         idx -= np.equal(dot, j, out=b)
     buf[np.add(base, dot, out=idx)] = ord(".")
     # '-' at the start of a negative value's text, and onto the separator before any other
-    # value (for the first, the head's last byte or buf[-1]), which the separators and the
-    # head written below overwrite.
+    # value (for the first, onto buf[-1] in the overrun), which the separators written
+    # below overwrite.
     buf[np.subtract(np.subtract(base, lead, out=idx), 1, out=idx)] = ord("-")
-    buf[:len(head)] = np.frombuffer(head, np.uint8)
     for i, row in enumerate(_EXPONENTS):
         buf[i:][at] = np.take(row, column, out=f[7].view(np.uint8)[:m], mode="clip")
     buf[sep] = ord(",")

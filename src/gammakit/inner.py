@@ -10,7 +10,7 @@ scan plus local refinement, not a certified bound (ROADMAP defect C).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -58,7 +58,7 @@ class GammaInner:
 
     @cached_property
     def d_power(self) -> TrigPoly:
-        """|D|^2 on the circle; ``_with_numerator`` hands it to maps sharing D."""
+        """|D|^2 on the circle, which ``gap`` and ``royal_polynomial``'s scale read."""
         return to_trig_modulus_squared(self.D)
 
     @cached_property
@@ -123,37 +123,36 @@ def validate(
                 d_failure = f"D has a zero of modulus {abs(z):.9g} in the open disc"
                 break
             circle_zeros += m
-    return _checked(e, d, n, tol, strict, d_failure, circle_zeros, to_trig_modulus_squared(d))
+    h = GammaInner(E=e, D=d, n=n, tol=tol, strict=strict, d_circle_zeros=circle_zeros)
+    return _checked(h, d_failure)
 
 
 def _with_numerator(h: GammaInner, e: Poly, minimum=None) -> GammaInner:
     """``validate(e, h.D, h.n, h.tol, strict=h.strict)`` without solving D again.
 
-    Conditions (i), (ii) and (iv) involve E and run on e; (iv) reuses h's |D|^2, or takes
-    ``minimum``, the (value, angle, largest coefficient) of e's gap from a witness trial.
-    (iii) and the circle-zero count depend only on D, tol and strict, which the new map
-    shares with h, so they are taken from h.
+    The new map is h with E replaced. Conditions (i), (ii) and (iv) involve E and run on e;
+    (iv) takes ``minimum``, the (value, angle, largest coefficient) of e's gap from a witness
+    trial, if given. (iii) and the circle-zero count depend only on D, tol and strict, which
+    the new map shares with h, so they are taken from h.
     """
-    return _checked(e, h.D, h.n, h.tol, h.strict, None, h.d_circle_zeros, h.d_power, minimum)
+    return _checked(replace(h, E=e), None, minimum)
 
 
-def _checked(e, d, n, tol, strict, d_failure, circle_zeros, d_power, minimum=None) -> GammaInner:
-    """Conditions (i), (ii) and (iv) (from ``minimum`` if given) around D's (iii) failure."""
+def _checked(h: GammaInner, d_failure, minimum=None) -> GammaInner:
+    """Conditions (i), (ii) and (iv) of h (from ``minimum`` if given) around D's (iii) failure."""
     details = {}
-    if e.degree > n or d.degree > n:
-        details["i"] = f"deg E = {e.degree}, deg D = {d.degree} exceed n = {n}"
+    if h.E.degree > h.n or h.D.degree > h.n:
+        details["i"] = f"deg E = {h.E.degree}, deg D = {h.D.degree} exceed n = {h.n}"
 
-    if not is_n_symmetric(e, n, tol):
-        details["ii"] = f"E is not {n}-symmetric"
+    if not is_n_symmetric(h.E, h.n, h.tol):
+        details["ii"] = f"E is not {h.n}-symmetric"
 
     if d_failure is not None:
         details["iii"] = d_failure
 
-    h = GammaInner(E=e, D=d, n=n, tol=tol, strict=strict, d_circle_zeros=circle_zeros)
-    h.__dict__["d_power"] = d_power  # seeds the cached property: maps sharing D share |D|^2
-    extrema = minimum or (*circle_extrema(h.gap, tol.circle_samples), h.gap.max_coeff)
+    extrema = minimum or (*circle_extrema(h.gap, h.tol.circle_samples), h.gap.max_coeff)
     min_val, arg_min, scale = extrema
-    if min_val < -tol.eps_residual * (1.0 + scale):
+    if min_val < -h.tol.eps_residual * (1.0 + scale):
         details["iv"] = (
             f"4|D|^2 - |E|^2 reaches {min_val:.3e} at angle {arg_min:.6f}"
         )

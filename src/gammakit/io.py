@@ -242,9 +242,9 @@ def trace_boundary(h: GammaInner, samples: int) -> list[TraceRow]:
 
 
 def trace_to_csv(rows) -> str:
-    """TRACE_HEADER, then one line per row: repr(float(field)) of each field, comma-separated,
-    each line ending in a newline, so a numpy scalar is written as a float. A row without
-    nine fields raises TypeError; a field float() rejects raises as float() does."""
+    """TRACE_HEADER and a newline, then one line per row: repr(float(field)) of each field,
+    comma-separated, each line ending in a newline, so a numpy scalar is written as a float.
+    A row without nine fields raises TypeError; a field float() rejects raises as float() does."""
     rows = list(rows)
     width = len(TraceRow._fields)
     if not {width}.issuperset(map(len, rows)):
@@ -256,5 +256,4 @@ def trace_to_csv(rows) -> str:
         values = None
     if values is None or np.isnan(values).any():
         values = np.fromiter(map(float, fields(rows)), float, count)
-    head = TRACE_HEADER + "\n"  # one block's text is returned as it is, without a copy
-    return "".join(repr_blocks(values, width, head.encode())) if rows else head
+    return TRACE_HEADER + "\n" + "".join(repr_blocks(values, width))

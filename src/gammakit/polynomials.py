@@ -246,14 +246,12 @@ class _ClusterContext:
         return (abs(z) - 1.0 > self.reach) - (1.0 - abs(z) > self.reach)
 
     def deriv(self, j: int):
-        """The j-th derivative's coefficients, or None past the constant one.
+        """The j-th derivative's coefficients; past the constant one, the zero polynomial [].
 
         The ladder is built on first use: polishing simple roots needs only
         f and f'. Rungs keep ``Poly``'s exact-zero rule, under which none is shortened.
         """
         while j >= len(self._derivs):
-            if len(self._derivs[-1]) <= 1:
-                return None
             self._derivs.append(_normalized([k * c for k, c in enumerate(self._derivs[-1])][1:]))
         return self._derivs[j]
 
@@ -264,8 +262,6 @@ class _ClusterContext:
         with a peak term so the floor stays meaningful near the origin.
         """
         cs = self.deriv(j)
-        if cs is None:
-            return 0.0
         return self.noise * (_abs_bound(cs, z) + max(map(abs, cs), default=0.0))
 
     def resolvability(self, z: complex, m: int) -> float:
@@ -275,10 +271,7 @@ class _ClusterContext:
         the rounding floor within |w - z| of order (floor / |c_m|)^(1/m), so
         separate approximations inside that disc carry no information.
         """
-        g = self.deriv(m)
-        if g is None:
-            return math.inf
-        lead = abs(_horner(g, z)) / math.factorial(m)
+        lead = abs(_horner(self.deriv(m), z)) / math.factorial(m)
         if lead == 0.0:
             return math.inf
         return (self.residual_floor(z) / lead) ** (1.0 / m)
@@ -289,17 +282,13 @@ class _ClusterContext:
         The root is a simple zero of the (m-1)-th derivative, so it moves by
         that derivative's rounding floor over the m-th derivative's modulus.
         """
-        dg = self.deriv(m)
-        slope = abs(_horner(dg, z)) if dg is not None else 0.0
+        slope = abs(_horner(self.deriv(m), z))
         return self.residual_floor(z, m - 1) / slope if slope > 0.0 else math.inf
 
     def consistent_root(self, z: complex, m: int) -> bool:
         """Backward-error test: f and its first m-1 derivatives vanish at z."""
         for j in range(m):
-            g = self.deriv(j)
-            if g is None:
-                break
-            if abs(_horner(g, z)) > 32.0 * self.residual_floor(z, j):
+            if abs(_horner(self.deriv(j), z)) > 32.0 * self.residual_floor(z, j):
                 return False
         return True
 
@@ -383,8 +372,6 @@ def _polish_cluster(ctx: _ClusterContext, z: complex, mult: int) -> complex:
     """
     dg = ctx.deriv(mult)
     g = ctx.deriv(mult - 1)
-    if not dg or not g:  # past the ladder's end (None) or the zero polynomial
-        return z
     start = z
     gv = _horner(g, z)
     best_val = abs(gv)
@@ -431,8 +418,6 @@ def roots_with_multiplicity(
         raise ValueError(f"keep must be None, 'disc' or 'outside', not {keep!r}")
     if f.is_zero():
         raise ZeroPolynomial("cannot extract roots of the zero polynomial")
-    if f.degree == 0:
-        return ()
 
     scale = f.max_coeff
     cs = [c / scale for c in f.coeffs]

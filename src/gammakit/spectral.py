@@ -310,11 +310,8 @@ def fejer_riesz(f: TrigPoly, tol: ToleranceConfig = DEFAULT_TOL) -> Poly:
     if scale == 0.0:
         raise ZeroPolynomial("cannot factor the zero trigonometric polynomial")
 
-    half = [c / scale for c in f.coeffs[f.n :]]
-    top = len(half) - 1
-    while top > 0 and half[top] == 0:
-        top -= 1
-    g = TrigPoly.from_half_spectrum(half[: top + 1])
+    g = TrigPoly.from_half_spectrum(_normalized([c / scale for c in f.coeffs[f.n :]]))
+    top = g.n
 
     min_val, _ = circle_extrema(g, tol.circle_samples)
     if min_val < -tol.eps_residual:

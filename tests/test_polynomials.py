@@ -13,13 +13,19 @@ from gammakit import (
     DEFAULT_TOL,
     BadParameter,
     DegreeExceedsBound,
+    NodeRegion,
+    OrderOverflow,
     PointOutOfRegion,
     Poly,
+    RoyalNode,
+    RoyalProfile,
     TrigPoly,
     ZeroPolynomial,
+    boundary_flatness,
     circle_extrema,
     conj_reciprocal,
     fejer_riesz,
+    h_nu,
     is_n_balanced,
     is_n_symmetric,
     l_factor,
@@ -31,6 +37,7 @@ from gammakit import (
     validate,
 )
 import gammakit.polynomials
+import gammakit.royal
 from gammakit.polynomials import (
     _CLUSTER_CAP, _ClusterContext, _components, _horner, _normalized,
 )
@@ -540,7 +547,7 @@ def test_cluster_ladder_matches_poly_derivatives(cs):
     ctx = _ClusterContext(ladder[0], DEFAULT_TOL)
     for j, rung in enumerate(ladder):
         assert same_bits(ctx.deriv(j), rung.coeffs)
-    assert ctx.deriv(len(ladder)) is None
+    assert ctx.deriv(len(ladder)) == []
 
 
 @BITWISE
@@ -553,3 +560,31 @@ def test_non_finite_coefficients_still_raise(cs, data):
         Poly(cs)
     with pytest.raises(BadParameter, match="polynomial coefficients must be finite"):
         _normalized(cs)
+
+
+def _flatness_past_the_cap(monkeypatch):
+    # No map reaches the cap: a circle node of multiplicity 4 or more reads as disc nodes
+    # (test_royal.py's high-order circle node), so the profile is replaced.
+    fake = RoyalProfile(nodes=(RoyalNode(-1 + 0j, 7, NodeRegion.CIRCLE),), n=7, k=7)
+    monkeypatch.setattr(gammakit.royal, "royal_profile", lambda _: fake)
+    return boundary_flatness(h_nu(0, 0.5), -1)
+
+
+@pytest.mark.parametrize(
+    "call, expected",
+    [
+        (lambda _: conj_reciprocal(Poly([1]), -1), DegreeExceedsBound),
+        (lambda _: roots_with_multiplicity(Poly([3])), ()),
+        (lambda _: TrigPoly.from_half_spectrum([1, 0.5]).coeff(5), 0j),
+        (lambda _: is_n_balanced(Poly([1, 2]), 1), False),
+        (_flatness_past_the_cap, OrderOverflow),
+    ],
+    ids=["negative-bound", "constant-roots", "coeff-past-n", "unbalanced", "flatness-cap"],
+)
+def test_edge_inputs_of_polynomials_spectral_and_royal(monkeypatch, call, expected):
+    if isinstance(expected, type):
+        with pytest.raises(expected):
+            call(monkeypatch)
+    else:
+        found = call(monkeypatch)
+        assert found == expected and type(found) is type(expected)
