@@ -356,3 +356,23 @@ def test_unimodular_rescale_changes_h():
     s1, p1 = h.eval(0.5)
     s2, p2 = h2.eval(0.5)
     assert abs(p1 - p2) > 1e-3 or abs(s1 - s2) > 1e-3
+
+
+@pytest.mark.parametrize(
+    "build, error, match",
+    [
+        (lambda: validate(Poly([1]), Poly([]), 1), ConditionFailed, r"\(iii\) D is the zero"),
+        (lambda: validate(Poly([1]), Poly([1, 0, 0.5]), 1), ConditionFailed, r"\(i\) deg E"),
+        (
+            lambda: from_inner_pair((Poly([-1, 1]), Poly([1, -1]), 1), (Poly([1]), Poly([1]), 0)),
+            NotInner,
+            "phi: denominator vanishes on the closed disc",
+        ),
+        (lambda: superficial(1, Poly([]), 1), BadParameter, "p_den must be nonzero"),
+    ],
+    ids=["zero-D", "deg-D-over-n", "blaschke-pole-at-1", "zero-p_den"],
+)
+def test_degenerate_maps_raise(build, error, match):
+    with pytest.raises(error, match=match) as caught:
+        build()
+    assert type(caught.value) is error

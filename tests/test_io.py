@@ -43,7 +43,7 @@ from gammakit import (
 from gammakit import _floatrepr
 from gammakit.cli import cli_dispatch
 from gammakit.geometry import _chart_curve
-from gammakit.io import TRACE_HEADER, TraceRow
+from gammakit.io import TRACE_HEADER, TraceRow, to_jsonable
 
 
 def test_poly_serialization_round_trip():
@@ -591,6 +591,17 @@ def test_cli_witness_extreme_exits_one(tmp_path, capsys):
     assert "ExtremeNoWitness" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, code, stream, text",
+    [(["--help"], 0, "out", "usage: gammakit"), (["analyze", "missing.json"], 1, "err", "io error")],
+    ids=["help", "missing-file"],
+)
+def test_cli_help_and_missing_file(tmp_path, monkeypatch, capsys, argv, code, stream, text):
+    monkeypatch.chdir(tmp_path)
+    assert cli_dispatch(argv) == code
+    assert text in getattr(capsys.readouterr(), stream)
+
+
 def test_cli_exit_codes(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{ not json")
@@ -691,3 +702,45 @@ def test_cli_superficial_example(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["type"] == [1, 1]
     assert payload["superficial"] == pytest.approx([0.0, 1.0])
+
+
+_MAP_DOC = {"E": [[0, 0], [2, 0]], "D": [[1, 0]], "n": 2}
+_SPEC_DOC = {"alphas": [], "taus": [], "sigmas": [[0, 0]], "t_plus": 1, "t": 1, "omega": [1, 0]}
+_NODE_DOC = {"location": [0, 0], "multiplicity": 1, "region": "disc"}
+
+
+@pytest.mark.parametrize(
+    "read, value, error, location",
+    [
+        (to_jsonable, object(), TypeError, None),
+        (parse_gamma_inner, json.dumps({**_MAP_DOC, "E": [1, 2]}), ParseError, "$.E[0]"),
+        (parse_gamma_inner, json.dumps({**_MAP_DOC, "E": 5}), ParseError, "$.E"),
+        (parse_gamma_inner, "[1]", ParseError, "$"),
+        (parse_gamma_inner, json.dumps({**_MAP_DOC, "n": 1.5}), ParseError, "$.n"),
+        (parse_spec, json.dumps({**_SPEC_DOC, "alphas": 1}), ParseError, "$.alphas"),
+        (parse_royal_profile, '{"nodes": 3, "n": 0, "k": 0}', ParseError, "$.nodes"),
+        (
+            parse_royal_profile,
+            json.dumps({"nodes": [{**_NODE_DOC, "region": "edge"}], "n": 1, "k": 0}),
+            ParseError,
+            "$.nodes[0].region",
+        ),
+        (
+            parse_royal_profile,
+            json.dumps({"nodes": [{**_NODE_DOC, "multiplicity": 0}], "n": 0, "k": 0}),
+            ValidationError,
+            None,
+        ),
+        (parse_trig, '{"n": 1, "coeffs": 3}', ParseError, "$.coeffs"),
+        (parse_trig, '{"n": 1, "coeffs": [[1, 0], [1, 0], [2, 0]]}', ValidationError, None),
+    ],
+    ids=["jsonable-object", "E-scalars", "E-number", "not-an-object", "fractional-n",
+         "alphas-number", "nodes-number", "region-edge", "multiplicity-0", "coeffs-number",
+         "not-hermitian"],
+)
+def test_bad_values_and_documents_raise_where_they_fail(read, value, error, location):
+    with pytest.raises(error) as caught:
+        read(value)
+    assert type(caught.value) is error
+    if location is not None:
+        assert caught.value.location == location

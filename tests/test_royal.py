@@ -9,6 +9,7 @@ import pytest
 
 import gammakit.royal
 from gammakit import (
+    ExtremeNoWitness,
     GammaKitError,
     NodeRegion,
     OddCircleZero,
@@ -448,6 +449,51 @@ def test_triple_circle_node_past_the_cluster_cap():
     except GammaKitError:
         return
     assert found == (7, 3)
+
+
+def _repeated_circle_node(nu, sigma):
+    """nu copies of the circle point sigma plus 0.3 and -0.4i: type (nu + 2, nu).
+
+    E takes floor((nu + 2) / 2) copies of alpha = 0.1 + 0.2i, and tau = i when nu is odd.
+    """
+    return synthesize(
+        SynthesisSpec(
+            alphas=(0.1 + 0.2j,) * ((nu + 2) // 2),
+            taus=(1j,) * (nu % 2),
+            sigmas=(sigma,) * nu + (0.3, -0.4j),
+            t_plus=1,
+            t=0.5,
+            omega=1,
+        )
+    )
+
+
+_CIRCLE_POINTS = pytest.mark.parametrize(
+    "sigma", [-1 + 0j, cmath.exp(1.3j)], ids=["minus-one", "angle-1.3"]
+)
+
+
+@_CIRCLE_POINTS
+@pytest.mark.parametrize("nu", [1, 2, 3])
+def test_repeated_circle_node_keeps_its_multiplicity(nu, sigma):
+    h = _repeated_circle_node(nu, sigma)
+    assert royal_profile(h).type_pair == (nu + 2, nu)
+    assert boundary_flatness(h, sigma) == 2 * nu
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="known defect (ROADMAP items 1, 3 and 10): the circle zero of R of order "
+    "2 nu >= 8 splits farther than the 1e-2 cluster cap into disc nodes near sigma, so "
+    "the s-extreme map reads k = 0 and gets a witness",
+)
+@_CIRCLE_POINTS
+@pytest.mark.parametrize("nu", [4, 5])
+def test_high_order_circle_node_is_not_read_as_disc_nodes(nu, sigma):
+    h = _repeated_circle_node(nu, sigma)
+    assert royal_profile(h).type_pair == (nu + 2, nu)
+    with pytest.raises(ExtremeNoWitness):
+        witness_non_extreme(h)
 
 
 @pytest.mark.xfail(

@@ -431,3 +431,24 @@ def test_superficial_midpoint_type():
     profile = royal_profile(mid)
     assert profile.type_pair == (1, 0)
     assert not is_s_extreme(mid)
+
+
+def _combine_across_denominators():
+    h = h_nu(1, 0.5)
+    return convex_combine(h, validate(h.E, 1j * h.D, h.n), 0.5)
+
+
+@pytest.mark.parametrize(
+    "build, error, match",
+    [
+        (lambda: _spec(sigmas=()), BadSpec, "at least one royal node"),
+        (lambda: recover_spec(validate(Poly([]), Poly([1]), 1)), BadSpec, "s vanishes"),
+        (lambda: convex_combine(h_nu(1, 0.5), h_nu(1, 0.5), 2.0), BadSpec, "weight"),
+        (_combine_across_denominators, DifferentSecondComponent, "denominators"),
+    ],
+    ids=["no-sigma", "zero-s", "weight-2", "rotated-D"],
+)
+def test_degenerate_specs_and_combinations_raise(build, error, match):
+    with pytest.raises(error, match=match) as caught:
+        build()
+    assert type(caught.value) is error
