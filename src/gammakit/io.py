@@ -11,6 +11,7 @@ import itertools
 import json
 import math
 import operator
+from collections.abc import Sequence
 from typing import NamedTuple
 
 import numpy as np
@@ -215,14 +216,43 @@ class TraceRow(NamedTuple):
 TRACE_HEADER = ",".join(TraceRow._fields)
 
 
-def trace_boundary(h: GammaInner, samples: int) -> list[TraceRow]:
+class TraceTable(Sequence):
+    """The rows of a trace, read-only, held as one (samples, 9) float64 array: each row is a
+    TraceRow built when it is read. A slice is a table of the same array; a table compares
+    equal to a table or list of equal rows, and list(rows) gives that list."""
+
+    __slots__ = ("_values",)
+    __hash__ = None
+
+    def __init__(self, values: np.ndarray):
+        self._values = values
+
+    def __len__(self) -> int:
+        return len(self._values)
+
+    # tuple.__new__ builds the row TraceRow._make would, without the length check nine columns pass.
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return TraceTable(self._values[i])
+        return tuple.__new__(TraceRow, self._values[operator.index(i)].tolist())
+
+    def __iter__(self):
+        return map(tuple.__new__, itertools.repeat(TraceRow), zip(*self._values.T.tolist()))
+
+    def __eq__(self, other):
+        if isinstance(other, (TraceTable, list)):
+            return list(self) == list(other)
+        return NotImplemented
+
+
+def trace_boundary(h: GammaInner, samples: int) -> TraceTable:
     """Sample the boundary curve with a continuously unwound chart angle.
 
     Rows sit at t_j = 2 pi j / samples. theta is the principal angle plus 2 pi
     times an integer turn count, the branch nearest the previous row's theta,
     so over one loop it gains 2 pi deg h. edge_gap = 2 - |s| measures contact
     with the band edge and b_residual = |s - conj(s) p| distinguished-boundary
-    fidelity.
+    fidelity. The rows come as a TraceTable, built one by one as they are read.
     """
     try:
         samples = operator.index(samples)  # a fractional count leaves the loop open
@@ -236,24 +266,28 @@ def trace_boundary(h: GammaInner, samples: int) -> list[TraceRow]:
     a, b, c, d = s.real, s.imag, p.real, p.imag
     # |s - conj(s) p| in real arithmetic rounds as Python's complex arithmetic does.
     twist = np.hypot(a - (a * c + b * d), b - (a * d - b * c))
-    columns = (ts, a, b, c, d, x, theta, 2.0 - np.hypot(a, b), twist)
-    # The rows _make would build, without its length check, which nine columns cannot fail.
-    return list(map(tuple.__new__, itertools.repeat(TraceRow), zip(*(c.tolist() for c in columns))))
+    values = np.column_stack((ts, a, b, c, d, x, theta, 2.0 - np.hypot(a, b), twist))
+    values.flags.writeable = False
+    return TraceTable(values)
 
 
 def trace_to_csv(rows) -> str:
     """TRACE_HEADER and a newline, then one line per row: repr(float(field)) of each field,
     comma-separated, each line ending in a newline, so a numpy scalar is written as a float.
-    A row without nine fields raises TypeError; a field float() rejects raises as float() does."""
-    rows = list(rows)
+    A row without nine fields raises TypeError; a field float() rejects raises as float() does.
+    A TraceTable renders from its array, with no row read: the same bytes as list(rows)."""
     width = len(TraceRow._fields)
-    if not {width}.issuperset(map(len, rows)):
-        raise TypeError(f"every trace row needs {width} fields")
-    fields, count = itertools.chain.from_iterable, width * len(rows)
-    try:  # numpy converts as float() does, but reads None as nan: float() decides on any nan
-        values = np.fromiter(fields(rows), float, count)
-    except Exception:  # float() raises its own error below, or converts what numpy would not
-        values = None
-    if values is None or np.isnan(values).any():
-        values = np.fromiter(map(float, fields(rows)), float, count)
+    if isinstance(rows, TraceTable):
+        values = rows._values.ravel()  # row order: a view, or a copy of a strided slice
+    else:
+        rows = list(rows)
+        if not {width}.issuperset(map(len, rows)):
+            raise TypeError(f"every trace row needs {width} fields")
+        fields, count = itertools.chain.from_iterable, width * len(rows)
+        try:  # numpy converts as float() does, but reads None as nan: float() decides on any nan
+            values = np.fromiter(fields(rows), float, count)
+        except Exception:  # float() raises its own error below, or converts what numpy would not
+            values = None
+        if values is None or np.isnan(values).any():
+            values = np.fromiter(map(float, fields(rows)), float, count)
     return TRACE_HEADER + "\n" + "".join(repr_blocks(values, width))

@@ -6,6 +6,7 @@ import fractions
 import itertools
 import json
 import math
+import pickle
 import random
 import re
 import struct
@@ -43,7 +44,7 @@ from gammakit import (
 from gammakit import _floatrepr
 from gammakit.cli import cli_dispatch
 from gammakit.geometry import _chart_curve
-from gammakit.io import TRACE_HEADER, TraceRow, to_jsonable
+from gammakit.io import TRACE_HEADER, TraceRow, TraceTable, to_jsonable
 
 
 def test_poly_serialization_round_trip():
@@ -222,6 +223,54 @@ def test_trace_row_contract():
         assert [repr(tuple(r)) for r in rows] == [
             repr(dataclasses.astuple(r)) for r in _dataclass_trace(h, samples)
         ]
+
+
+_CUTS = (slice(None, 0), slice(5, None), slice(None, None, 3), slice(None, None, -1))
+
+
+def test_trace_table_reads_like_the_list_it_replaces():
+    rows = trace_boundary(h_nu(2, 0.5), 64)
+    listed = list(rows)
+    assert len(rows) == len(listed) == 64
+    for i in (0, -1, np.int64(3), True):
+        assert type(rows[i]) is TraceRow
+        assert repr(rows[i]) == repr(listed[i])  # bit for bit, the sign of zero included
+    with pytest.raises(IndexError):
+        rows[64]
+    with pytest.raises(TypeError):
+        rows[1.0]
+    with pytest.raises(TypeError):
+        rows[0] = listed[0]
+    with pytest.raises(TypeError):
+        del rows[0]
+    for cut in _CUTS:
+        assert type(rows[cut]) is TraceTable
+        assert list(rows[cut]) == listed[cut]
+    assert rows == listed and listed == rows and rows == trace_boundary(h_nu(2, 0.5), 64)
+    assert rows != tuple(rows)
+    other = trace_boundary(h_nu(1, 0.5), 64)
+    assert rows != other and rows != list(other) and list(other) != rows
+    with pytest.raises(TypeError):
+        hash(rows)
+    back = pickle.loads(pickle.dumps(rows))
+    assert type(back) is TraceTable and back == rows
+
+
+def test_trace_table_renders_from_its_array_alone(monkeypatch):
+    # 2,049 rows render as three blocks, the last of one row; the strided slices copy.
+    tables = [trace_boundary(h, samples)
+              for h, samples in itertools.product(_trace_maps(), (16, 1024, 2049))]
+    tables += [table[cut] for table in tables for cut in _CUTS]
+    expected = [trace_to_csv(list(table)).split("\n") for table in tables]
+    empty = tables[0][:0]
+
+    def unread(*args):
+        raise AssertionError("a table was rendered from its rows")
+
+    monkeypatch.setattr(TraceTable, "__getitem__", unread)
+    monkeypatch.setattr(TraceTable, "__iter__", unread)
+    assert [trace_to_csv(table).split("\n") for table in tables] == expected
+    assert trace_to_csv(empty) == TRACE_HEADER + "\n"
 
 
 def _reference_csv(rows) -> str:
