@@ -19,6 +19,7 @@ from .errors import BadParameter, ConditionFailed, NotInner, PoleOnDomain
 from .polynomials import (
     Poly,
     _closed_disc_roots,
+    _reflection_gap,
     _schur_cohn_outer,
     conj_reciprocal,
     is_n_symmetric,
@@ -57,17 +58,12 @@ class GammaInner:
         return conj_reciprocal(self.D, self.n)
 
     @cached_property
-    def d_power(self) -> TrigPoly:
-        """|D|^2 on the circle, which ``gap`` and ``royal_polynomial``'s scale read."""
-        return to_trig_modulus_squared(self.D)
-
-    @cached_property
     def gap(self) -> TrigPoly:
-        """The circle gap 4 |D|^2 - |E|^2 (``circle_gap``) of this map.
+        """This map's ``circle_gap(E, D)``, 4 |D|^2 - |E|^2, computed once and kept.
 
         lambda^n times it is R = 4 D D~ - E^2 (n-symmetric E), exactly self-inversive.
         """
-        return TrigPoly.lincomb([(4.0, self.d_power), (-1.0, to_trig_modulus_squared(self.E))])
+        return circle_gap(self.E, self.D)
 
     @cached_property
     def royal(self) -> Poly:
@@ -210,12 +206,7 @@ def from_inner_pair(
             raise NotInner(f"{name}: invalid Blaschke data")
         if max(num.degree, den.degree) > deg_bound:
             raise NotInner(f"{name}: a polynomial's degree exceeds the bound {deg_bound}")
-        mirror = conj_reciprocal(den, deg_bound)
-        gap = max(
-            abs(a - b)
-            for a, b in zip(num.padded(deg_bound + 1), mirror.padded(deg_bound + 1))
-        )
-        if gap > tol.eps_residual * (1.0 + den.max_coeff):
+        if _reflection_gap(num, den, deg_bound) > tol.eps_residual * (1.0 + den.max_coeff):
             raise NotInner(f"{name}: numerator is not the reflected denominator")
         if _closed_disc_zero(den, tol) is not None:
             raise NotInner(f"{name}: denominator vanishes on the closed disc")

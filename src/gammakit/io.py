@@ -274,8 +274,9 @@ def trace_boundary(h: GammaInner, samples: int) -> TraceTable:
 def trace_to_csv(rows) -> str:
     """TRACE_HEADER and a newline, then one line per row: repr(float(field)) of each field,
     comma-separated, each line ending in a newline, so a numpy scalar is written as a float.
-    A row without nine fields raises TypeError; a field float() rejects raises as float() does.
-    A TraceTable renders from its array, with no row read: the same bytes as list(rows)."""
+    A row without nine fields raises TypeError; every field goes through float(), so one that
+    float() rejects raises as float() does. A TraceTable renders from its array, with no row
+    read: the same bytes as list(rows)."""
     width = len(TraceRow._fields)
     if isinstance(rows, TraceTable):
         values = rows._values.ravel()  # row order: a view, or a copy of a strided slice
@@ -283,11 +284,6 @@ def trace_to_csv(rows) -> str:
         rows = list(rows)
         if not {width}.issuperset(map(len, rows)):
             raise TypeError(f"every trace row needs {width} fields")
-        fields, count = itertools.chain.from_iterable, width * len(rows)
-        try:  # numpy converts as float() does, but reads None as nan: float() decides on any nan
-            values = np.fromiter(fields(rows), float, count)
-        except Exception:  # float() raises its own error below, or converts what numpy would not
-            values = None
-        if values is None or np.isnan(values).any():
-            values = np.fromiter(map(float, fields(rows)), float, count)
+        fields = map(float, itertools.chain.from_iterable(rows))
+        values = np.fromiter(fields, float, width * len(rows))
     return TRACE_HEADER + "\n" + "".join(repr_blocks(values, width))

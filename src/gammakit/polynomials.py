@@ -145,16 +145,19 @@ def conj_reciprocal(f: Poly, n: int) -> Poly:
     return Poly([padded[n - k].conjugate() for k in range(n + 1)])
 
 
+def _reflection_gap(f: Poly, g: Poly, n: int) -> float:
+    """max_k |f_k - conj(g_{n-k})|: how far f lies from ``conj_reciprocal(g, n)``, for
+    deg f, deg g <= n."""
+    a, b = f.padded(n + 1), g.padded(n + 1)
+    return max(abs(a[k] - b[n - k].conjugate()) for k in range(n + 1))
+
+
 def is_n_symmetric(f: Poly, n: int, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     """True when f equals its n-reflection within ``eps_residual`` slack."""
     _check_int(n, "the reflection bound n")
     if n < 0 or f.degree > n:
         return False
-    mirrored = conj_reciprocal(f, n)
-    a = f.padded(n + 1)
-    b = mirrored.padded(n + 1)
-    gap = max(abs(x - y) for x, y in zip(a, b))
-    return gap <= tol.eps_residual * (1.0 + f.max_coeff)
+    return _reflection_gap(f, f, n) <= tol.eps_residual * (1.0 + f.max_coeff)
 
 
 # -- elementary factors -----------------------------------------------------

@@ -62,9 +62,11 @@ def royal_polynomial(h: GammaInner) -> Poly:
     This is 4 D D~ - E^2 for n-symmetric E, and exactly self-inversive, kept
     as computed: small coefficients may carry the disc zeros of a graded R.
     :class:`RoyalVariety` is raised only when every coefficient is at most
-    ``eps_trim`` times the larger autocorrelation peak (a constant term).
+    ``eps_trim`` times the larger autocorrelation peak, 4 ||D||^2 or ||E||^2
+    (the constant terms of 4 |D|^2 and |E|^2, from D's and E's coefficients).
     """
-    scale = max(4.0 * h.d_power.coeff(0).real, sum(abs(c) ** 2 for c in h.E.coeffs))
+    d_norm = sum(c * c.conjugate() for c in h.D.coeffs).real
+    scale = max(4.0 * d_norm, sum(abs(c) ** 2 for c in h.E.coeffs))
     raw = [0j] * (h.n - h.gap.n) + list(h.gap.coeffs)
     if all(abs(c) <= h.tol.eps_trim * scale for c in raw):
         raise RoyalVariety("the royal polynomial vanishes identically")

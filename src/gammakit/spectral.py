@@ -161,7 +161,7 @@ def _grid_values(halves, size: int) -> np.ndarray:
 
 def _extrema_grid_size(n: int, samples: int) -> int:
     """Size of ``circle_extrema``'s grid for a degree-n trigonometric polynomial."""
-    return max(int(samples), 4 * max(n, 1), 8)
+    return max(samples, 4 * max(n, 1), 8)
 
 
 def circle_extrema(f: TrigPoly, samples: int) -> tuple[float, float]:

@@ -197,9 +197,7 @@ def recover_spec(h: GammaInner) -> SynthesisSpec:
 
 
 def _coeff_ratio(num: Poly, den: Poly) -> complex:
-    """Ratio num[j] / den[j] at the most significant coefficient of den."""
-    if den.is_zero():
-        raise BadSpec("cannot relate against a zero polynomial")
+    """Ratio num[j] / den[j] at the most significant coefficient of den, a nonzero polynomial."""
     mags = list(map(abs, den.coeffs))
     j = mags.index(max(mags))
     return num.coeff(j) / den.coeffs[j]

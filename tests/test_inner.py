@@ -12,6 +12,7 @@ from gammakit import (
     GammaRegion,
     NotInner,
     Poly,
+    ToleranceConfig,
     boundary_flatness,
     classify_point,
     conj_reciprocal,
@@ -20,6 +21,7 @@ from gammakit import (
     from_inner_pair,
     geodesic,
     h_nu,
+    is_n_symmetric,
     poly_from_roots,
     recover_spec,
     roots_with_multiplicity,
@@ -307,6 +309,21 @@ def test_from_inner_pair_rejects_a_denominator_above_its_degree_bound():
     high = (Poly([0.5, 1]), Poly([1, 0.5, 0.01]), 1)
     with pytest.raises(NotInner, match="^psi: "):
         from_inner_pair((Poly([0.3, 1]), Poly([1, 0.3]), 1), high)
+
+
+def test_reflection_checks_accept_a_gap_at_their_bound_and_no_more():
+    # With a power-of-two eps_residual and largest coefficient 1, the bound
+    # eps_residual * (1 + 1) and each reflection gap below are exact.
+    tol = ToleranceConfig(eps_residual=2.0**-10)
+    bound = 2.0**-9
+    psi = (Poly([-1j]), Poly([1j]), 0)  # the constant -1
+    assert is_n_symmetric(Poly([0, 1, bound]), 2, tol)
+    h = from_inner_pair((Poly([bound, 1]), Poly([1]), 1), psi, tol)
+    assert h.E.coeffs == ((bound - 1) * 1j, 1j) and h.D.coeffs == (1j,)
+    above = math.nextafter(bound, math.inf)
+    assert not is_n_symmetric(Poly([0, 1, above]), 2, tol)
+    with pytest.raises(NotInner, match="^phi: numerator is not the reflected denominator"):
+        from_inner_pair((Poly([above, 1]), Poly([1]), 1), psi, tol)
 
 
 def test_canonical_examples():

@@ -360,7 +360,7 @@ def test_trace_csv_writes_fields_as_floats():
 
 
 def test_trace_csv_converts_every_field_as_float_does():
-    # numpy reads the fields in one pass but turns None into nan; float() must still decide.
+    # Every field goes through float(): what it rejects raises, even where numpy would convert.
     fields = ["1.5", " -2.25e-3\n", decimal.Decimal("0.1"), fractions.Fraction(1, 3),
               np.float32(0.1), True, False, 7, -(2**64) - 1, np.int64(-3), "-inf", math.inf]
     rows = [tuple(fields[:9]), tuple(fields[9:]) + (0.5,) * 6]
@@ -368,7 +368,7 @@ def test_trace_csv_converts_every_field_as_float_does():
     assert trace_to_csv(rows) == TRACE_HEADER + "\n" + expected
     with_nan = TRACE_HEADER + "\n" + expected + ",".join(["nan"] * 9) + "\n"
     assert trace_to_csv(rows + [("nan",) * 9]) == with_nan
-    for bad in (None, [1.0]):
+    for bad in (None, [1.0], np.datetime64(1, "s"), np.timedelta64(5, "s")):
         for at in (0, 8):
             row = [0.25] * 9
             row[at] = bad
