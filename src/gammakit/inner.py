@@ -4,8 +4,10 @@ A rational inner map h = (s, p) of degree n is carried by two polynomials:
 s = E / D and p = D~ / D, where D~ is the degree-n conjugate reciprocal of D.
 Validation enforces the four representation conditions: degree bounds, the
 n-symmetry of E, zero-freeness of D on the closed disc, and the circle
-inequality |E| <= 2 |D|, whose minimum ``circle_extrema`` estimates by a grid
-scan plus local refinement, not a certified bound (ROADMAP defect C).
+inequality |E| <= 2 |D|. That inequality passes certified when the grid floor
+of 4 |D|^2 - |E|^2 (``spectral._grid_floor``) clears its slack; otherwise its
+minimum is the estimate of a grid scan plus local refinement, not a certified
+bound (ROADMAP defect C).
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from .polynomials import (
     conj_reciprocal,
     is_n_symmetric,
 )
-from .spectral import TrigPoly, circle_extrema, to_trig_modulus_squared
+from .spectral import TrigPoly, _circle_minimum, to_trig_modulus_squared
 from .tolerances import DEFAULT_TOL, ToleranceConfig, _band_miss, _in_closed_disc, _unimodular
 
 
@@ -95,8 +97,10 @@ def validate(
     (i) deg E <= n and deg D <= n; (ii) E is n-symmetric; (iii) D has no
     zeros on the closed disc, by the Schur-Cohn test, with roots solved only
     to name a zero (``strict=False``: none on the open disc, from D's roots);
-    (iv) 4|D|^2 - |E|^2 >= 0 on the circle, from the exact autocorrelations;
-    ``circle_extrema`` estimates the minimum, not a certified bound (defect C).
+    (iv) 4|D|^2 - |E|^2 >= 0 on the circle, from the exact autocorrelations:
+    a pass is certified when the grid floor clears the slack -eps_residual (1 + the
+    largest coefficient), and is otherwise decided by ``circle_extrema``'s refined
+    minimum, an estimate, not a certified bound (defect C), as is every failure.
 
     Raises :class:`ConditionFailed` carrying every failed condition label.
     """
@@ -128,14 +132,20 @@ def _with_numerator(h: GammaInner, e: Poly, minimum=None) -> GammaInner:
 
     The new map is h with E replaced. Conditions (i), (ii) and (iv) involve E and run on e;
     (iv) takes ``minimum``, the (value, angle, largest coefficient) of e's gap from a witness
-    trial, if given. (iii) and the circle-zero count depend only on D, tol and strict, which
-    the new map shares with h, so they are taken from h.
+    trial, if given: its certified grid floor or its refined minimum. (iii) and the
+    circle-zero count depend only on D, tol and strict, which the new map shares with h, so
+    they are taken from h.
     """
     return _checked(replace(h, E=e), None, minimum)
 
 
 def _checked(h: GammaInner, d_failure, minimum=None) -> GammaInner:
-    """Conditions (i), (ii) and (iv) of h (from ``minimum`` if given) around D's (iii) failure."""
+    """Conditions (i), (ii) and (iv) of h (from ``minimum`` if given) around D's (iii) failure.
+
+    Without ``minimum``, (iv) reads the gap's certified grid floor and refines the minimum
+    only when the floor does not clear the slack (``spectral._circle_minimum``): a pass
+    on the floor is certified, a refined verdict an estimate (defect C).
+    """
     details = {}
     if h.E.degree > h.n or h.D.degree > h.n:
         details["i"] = f"deg E = {h.E.degree}, deg D = {h.D.degree} exceed n = {h.n}"
@@ -146,8 +156,11 @@ def _checked(h: GammaInner, d_failure, minimum=None) -> GammaInner:
     if d_failure is not None:
         details["iii"] = d_failure
 
-    extrema = minimum or (*circle_extrema(h.gap, h.tol.circle_samples), h.gap.max_coeff)
-    min_val, arg_min, scale = extrema
+    if minimum is None:
+        scale = h.gap.max_coeff
+        bound = -h.tol.eps_residual * (1.0 + scale)
+        minimum = (*_circle_minimum(h.gap, bound, h.tol.circle_samples), scale)
+    min_val, arg_min, scale = minimum
     if min_val < -h.tol.eps_residual * (1.0 + scale):
         details["iv"] = (
             f"4|D|^2 - |E|^2 reaches {min_val:.3e} at angle {arg_min:.6f}"

@@ -21,7 +21,7 @@ from .errors import GammaKitError, OddCircleZero, OrderOverflow, RoyalVariety
 from .inner import GammaInner, eval_h
 from .polynomials import _CLUSTER_CAP, Poly, _check_int, is_n_symmetric
 from .polynomials import partition_circle_roots, roots_with_multiplicity
-from .spectral import circle_extrema, to_trig_shifted
+from .spectral import _circle_minimum, to_trig_shifted
 from .tolerances import DEFAULT_TOL, ToleranceConfig, _band_miss, _unimodular
 
 
@@ -74,13 +74,18 @@ def royal_polynomial(h: GammaInner) -> Poly:
 
 
 def is_n_balanced(r: Poly, n: int, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
-    """True when deg R <= 2n, R is 2n-symmetric and lambda^{-n} R >= 0 on the circle."""
+    """True when deg R <= 2n, R is 2n-symmetric and lambda^{-n} R >= 0 on the circle.
+
+    The last test allows -eps_residual (1 + the largest coefficient). It is certified
+    when the grid floor of lambda^{-n} R clears that slack; otherwise ``circle_extrema``'s
+    refined minimum decides, an estimate (ROADMAP defect C), as for every False.
+    """
     _check_int(n, "n")
     if r.is_zero() or r.degree > 2 * n or not is_n_symmetric(r, 2 * n, tol):
         return False
     shifted = to_trig_shifted(r, n, tol)
-    min_val, _ = circle_extrema(shifted, tol.circle_samples)
-    return min_val >= -tol.eps_residual * (1.0 + shifted.max_coeff)
+    bound = -tol.eps_residual * (1.0 + shifted.max_coeff)
+    return _circle_minimum(shifted, bound, tol.circle_samples)[0] >= bound
 
 
 def royal_profile(h: GammaInner) -> RoyalProfile:

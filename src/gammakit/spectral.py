@@ -164,6 +164,11 @@ def _extrema_grid_size(n: int, samples: int) -> int:
     return max(samples, 4 * max(n, 1), 8)
 
 
+def _circle_grid(f: TrigPoly, samples: int) -> np.ndarray:
+    """f on ``circle_extrema``'s grid."""
+    return _grid_values(f.coeffs[f.n :], _extrema_grid_size(f.n, samples))
+
+
 def circle_extrema(f: TrigPoly, samples: int) -> tuple[float, float]:
     """Minimum of f on the circle and the angle attaining it.
 
@@ -174,7 +179,45 @@ def circle_extrema(f: TrigPoly, samples: int) -> tuple[float, float]:
     mod 2 pi.
     """
     _check_int(samples, "samples")
-    return _refine_minimum(f, _grid_values(f.coeffs[f.n :], _extrema_grid_size(f.n, samples)))
+    return _refine_minimum(f, _circle_grid(f, samples))
+
+
+def _moduli_sums(half) -> tuple[float, float]:
+    """(M_0, M_2) = (sum |a_k|, sum k^2 |a_k|) over the 2n + 1 frequencies of half = a_0 .. a_n."""
+    mags = list(map(abs, half))
+    return 2.0 * sum(mags) - mags[0], 2.0 * sum(k * k * m for k, m in enumerate(mags))
+
+
+def _grid_floor(grid_values, n: int, sums) -> tuple[float, float]:
+    """A certified lower bound L for the circle minimum of a degree-n f, and the angle of the
+    lowest grid point; sums = (M_0, M_2) of f's coefficients (``_moduli_sums``).
+
+    grid_values are f at the N angles 2 pi m / N from ``_grid_values``. Between two grid
+    points f lies above its chord less (h^2 / 8) max |f''| <= (h^2 / 8) M_2, h = 2 pi / N,
+    so L = min(grid) - (h^2 / 8) M_2 - rho. rho = 8 eps (ceil(log2 N) sqrt N + n + 1) M_0
+    covers two rounding errors, each more than twice over: the inverse FFT's, at most
+    7 u log2 N sqrt N M_0 at a point (Higham 2002, Theorem 24.2, radix 2, u = eps / 2), and
+    that of the Horner values at the rounded points e^{it} that ``_refine_minimum`` reads,
+    about 3 n eps M_0 (Higham 2002, section 3.1). L is therefore at most every value the
+    refinement can return, and a verdict that L alone clears needs no refinement. A NaN on
+    the grid gives NaN, which clears nothing.
+    """
+    total, curvature = sums
+    size = len(grid_values)
+    j = int(grid_values.argmin())  # a NaN first, as min would
+    step = 2.0 * math.pi / size
+    rounding = 8.0 * _EPS * ((size - 1).bit_length() * math.sqrt(size) + n + 1) * total
+    return float(grid_values[j]) - 0.125 * step * step * curvature - rounding, j * step
+
+
+def _circle_minimum(f: TrigPoly, bound: float, samples: int) -> tuple[float, float]:
+    """``circle_extrema(f, samples)`` unless the certified floor L of its grid exceeds bound:
+    then every value the refinement can return exceeds bound too, and (L, the lowest grid
+    point's angle) is returned without refining. Comparisons of the value with bound, or
+    with anything below it, therefore read as they would on the refined minimum."""
+    grid = _circle_grid(f, samples)
+    floor = _grid_floor(grid, f.n, _moduli_sums(f.coeffs[f.n :]))
+    return floor if floor[0] > bound else _refine_minimum(f, grid)
 
 
 def _refine_minimum(f: TrigPoly, grid_values) -> tuple[float, float]:
@@ -299,12 +342,15 @@ def fejer_riesz(f: TrigPoly, tol: ToleranceConfig = DEFAULT_TOL) -> Poly:
     1/conj(zeta)) of lambda^n f and half of each circle zero cluster, and the
     same Newton removes the expansion rounding unless D has circle zeros.
 
-    Raises ``NotNonnegative`` when the circle minimum (an estimate, not a
-    certified bound: ROADMAP defect C) is below -eps_residual (relative),
+    Both gates read the circle minimum of the scaled symbol. When the grid floor
+    (``_grid_floor``) exceeds ``_ROOT_FREE_DEPTH``, the symbol is certified deep and
+    nonnegative and the minimum is not refined; otherwise ``circle_extrema``'s refined
+    estimate decides (not a certified bound: ROADMAP defect C). Raises
+    ``NotNonnegative`` when that estimate is below -eps_residual (relative),
     ``OddCircleZero`` for a circle zero cluster of odd order, impossible for
-    a squared modulus, and ``GammaKitError`` naming the symbol depth when the
-    selected roots do not number the factor degree. Newton's plans are cached per
-    degree, with a bound; the cache does not change D.
+    a squared modulus, and ``GammaKitError`` naming the symbol depth, the refined
+    minimum, when the selected roots do not number the factor degree. Newton's plans
+    are cached per degree, with a bound; the cache does not change D.
     """
     scale = f.max_coeff
     if scale == 0.0:
@@ -313,7 +359,7 @@ def fejer_riesz(f: TrigPoly, tol: ToleranceConfig = DEFAULT_TOL) -> Poly:
     g = TrigPoly.from_half_spectrum(_normalized([c / scale for c in f.coeffs[f.n :]]))
     top = g.n
 
-    min_val, _ = circle_extrema(g, tol.circle_samples)
+    min_val, _ = _circle_minimum(g, _ROOT_FREE_DEPTH, tol.circle_samples)
     if min_val < -tol.eps_residual:
         raise NotNonnegative(f"scaled circle minimum {min_val:.3e} is negative")
 
@@ -331,6 +377,8 @@ def fejer_riesz(f: TrigPoly, tol: ToleranceConfig = DEFAULT_TOL) -> Poly:
         selected = outside + [(z, m // 2) for z, m in on_circle]
         count = sum(m for _, m in selected)
         if count != top:
+            if min_val > _ROOT_FREE_DEPTH:  # Newton failed; the depth may be the grid floor
+                min_val, _ = circle_extrema(g, tol.circle_samples)
             raise GammaKitError(
                 f"root pairing selected {count} roots for a factor of degree {top}"
                 f" (symbol depth {min_val:.1e})"

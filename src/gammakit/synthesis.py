@@ -37,7 +37,9 @@ from .spectral import (
     TrigPoly,
     _correlation,
     _extrema_grid_size,
+    _grid_floor,
     _grid_values,
+    _moduli_sums,
     _refine_minimum,
     fejer_riesz,
     to_trig_modulus_squared,
@@ -245,9 +247,10 @@ def witness_non_extreme(h: GammaInner) -> tuple[float, GammaInner, GammaInner]:
     G0 = 4|D|^2 - |E|^2 (``h.gap``), X = E conj(g) + g conj(E) and
     Q = |g|^2. Their half spectra and their values on ``circle_extrema``'s grid
     (one batched real inverse FFT) are computed once per call, and each trial
-    u = +-t is ``_admissible``, an estimate, not a certified bound (ROADMAP
-    defect C). The start skips only sizes that the grid test rejects, so t is
-    the one a halving from 1 returns; no t below 2^-59 is tried.
+    u = +-t is ``_admissible``: certified when the trial's grid floor clears the slack,
+    else an estimate, not a certified bound (ROADMAP defect C). The start skips only
+    sizes that the grid test rejects, so t is the one a halving from 1 returns; no t
+    below 2^-59 is tried.
     h+ and h- are then validated by ``_with_numerator``, which shares D, tol and strict
     with h, checks (i) and (ii) on E +- t g and (iv) on the accepting trial's minimum:
     the pencil at +-t is that gap up to rounding, and it cleared half of (iv)'s slack.
@@ -271,14 +274,15 @@ def witness_non_extreme(h: GammaInner) -> tuple[float, GammaInner, GammaInner]:
     pencil = (h.gap, TrigPoly.from_half_spectrum(cross), to_trig_modulus_squared(g))
     n = max(f.n for f in pencil)
     halves = np.array([f.coeffs[f.n :] + (0j,) * (n - f.n) for f in pencil])
+    spectra = (halves, np.array([_moduli_sums(f.coeffs[f.n :]) for f in pencil]))
     size = _extrema_grid_size(n, tol.circle_samples)
     grids = _grid_values(halves, size)
     slack = 0.5 * tol.eps_residual * (1.0 + sum(f.max_coeff for f in pencil))
 
     t_step = _first_step(grids, slack)
     while t_step >= 2.0**-59:  # the 60th size of a halving from 1
-        plus = _admissible(halves, grids, t_step, tol)
-        minus = plus and _admissible(halves, grids, -t_step, tol)  # -t only after +t passes
+        plus = _admissible(spectra, grids, t_step, tol)
+        minus = plus and _admissible(spectra, grids, -t_step, tol)  # -t only after +t passes
         if minus:
             break
         t_step *= 0.5
@@ -304,17 +308,26 @@ def _first_step(grids, slack: float) -> float:
     return 1.0
 
 
-def _admissible(halves, grids, u: float, tol: ToleranceConfig):
-    """(minimum, angle, scale) of the pencil at u when its refined circle minimum clears
+def _admissible(spectra, grids, u: float, tol: ToleranceConfig):
+    """(minimum, angle, scale) of the pencil at u when its circle minimum clears
     -0.5 eps_residual (1 + scale), scale its largest coefficient; None when it does not.
 
-    Sums in ``TrigPoly.lincomb``'s order; builds the TrigPoly only to refine a passing grid."""
+    spectra holds the half spectra of G0, X and Q, as rows, and their ``_moduli_sums``;
+    grids holds their values. Sums in ``TrigPoly.lincomb``'s order. A passing grid whose
+    certified floor clears the slack gives (floor, the lowest grid point's angle, scale),
+    a certified pass; else the TrigPoly is built and its refined minimum decides, an
+    estimate (ROADMAP defect C). The grid sums three transforms, so the floor reads the
+    moduli sums of |G0| + |u| |X| + u^2 |Q|, which bound the pencil's and its rounding's."""
+    halves, sums = spectra
     half = halves[0] + (-u) * halves[1] + (-u * u) * halves[2]
     scale = float(np.abs(half).max())
     floor = -0.5 * tol.eps_residual * (1.0 + scale)
     values = grids[0] - u * grids[1] - (u * u) * grids[2]
     if float(values.min()) < floor:
         return None
+    lowest, angle = _grid_floor(values, len(half) - 1, (1.0, abs(u), u * u) @ sums)
+    if lowest > floor:
+        return lowest, angle, scale
     min_val, arg_min = _refine_minimum(TrigPoly.from_half_spectrum(half), values)
     return None if min_val < floor else (min_val, arg_min, scale)
 

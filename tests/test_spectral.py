@@ -90,7 +90,7 @@ def test_circle_extrema():
 
 
 def _oracle_minimum(f: TrigPoly) -> float:
-    """Minimum of f on the circle to 50 digits.
+    """Minimum of f on the circle to 50 digits, as an ``mpmath.mpf``.
 
     A dense float grid locates every local minimum that can be the lowest;
     ``findroot`` then solves f' = 0 from each in 50-digit arithmetic, and
@@ -128,7 +128,7 @@ def _oracle_minimum(f: TrigPoly) -> float:
                 verify=False,
             )
             best = min(best, derivative(root, 0))
-        return float(best)
+        return best
 
 
 def _gaussian_trig(rng: random.Random, n: int) -> TrigPoly:
@@ -160,7 +160,7 @@ def test_circle_extrema_against_oracle(name):
     samples = 1024
     value, angle = circle_extrema(f, samples)
     scale = sum(abs(c) for c in f.coeffs)
-    assert abs(value - _oracle_minimum(f)) <= 1e-12 * scale
+    assert abs(value - float(_oracle_minimum(f))) <= 1e-12 * scale
     assert value <= float(f.values(2 * math.pi * np.arange(samples) / samples).min())
     assert 0.0 <= angle < 2 * math.pi
     assert abs(f.value(angle) - value) <= 1e-14 * scale
@@ -287,17 +287,47 @@ def test_fejer_riesz_high_degree_gaussian_symbols(degree, seed):
         assert d.coeffs[0].real > 0.0 and abs(d.coeffs[0].imag) <= 1e-12 * d.coeffs[0].real
 
 
-def test_fejer_riesz_rejects_wrong_root_count():
+def test_fejer_riesz_rejects_wrong_root_count(monkeypatch):
     # A symbol of depth 3e-11 whose root pairing selects one root too many.
     rng = random.Random(17)
     for _ in range(6):
         spec = random_spec(rng, n_max=10)
     r, e = build_re(dataclasses.replace(spec, t_plus=spec.t * spec.t / 1e4))
     f = to_trig_shifted(r + e * e, spec.n)
+    refinements = count_calls(monkeypatch, "_refine_minimum", spectral._refine_minimum)
     with pytest.raises(GammaKitError, match="selected 10 roots .* degree 9") as caught:
         fejer_riesz(f)
     assert caught.type is GammaKitError
     assert str(caught.value).endswith("(symbol depth 1.2e-10)")  # circle minimum / max coefficient
+    # The grid floor does not clear the depth gate, so the one refinement decides the gate
+    # and its value is the depth the message names.
+    assert len(refinements) == 1
+
+
+def test_fejer_riesz_refines_no_deep_symbol(monkeypatch):
+    f = to_trig_modulus_squared(random_poly(random.Random(1), 7))
+    refinements = count_calls(monkeypatch, "_refine_minimum", spectral._refine_minimum)
+    fejer_riesz(f)
+    assert not refinements
+
+
+def test_fejer_riesz_refines_a_deep_symbol_only_to_name_its_depth(monkeypatch):
+    # Newton is made to fail and the pairing to miss a root, so the deep symbol, which the
+    # grid floor cleared unrefined, reaches the count error; the message names the refined depth.
+    f = to_trig_modulus_squared(random_poly(random.Random(1), 7))
+    g = TrigPoly.from_half_spectrum([c / f.max_coeff for c in f.coeffs[f.n :]])
+    grid = spectral._circle_grid(g, DEFAULT_TOL.circle_samples)
+    floor, _ = spectral._grid_floor(grid, g.n, spectral._moduli_sums(g.coeffs[g.n :]))
+    assert floor > spectral._ROOT_FREE_DEPTH
+    depth = circle_extrema(g, DEFAULT_TOL.circle_samples)[0]
+    monkeypatch.setattr(spectral, "_newton_factor", lambda d, half: (d, math.inf))
+    one_short = lambda *args, **kwargs: roots_with_multiplicity(*args, **kwargs)[1:]  # noqa: E731
+    monkeypatch.setattr(spectral, "roots_with_multiplicity", one_short)
+    refinements = count_calls(monkeypatch, "_refine_minimum", spectral._refine_minimum)
+    with pytest.raises(GammaKitError, match="selected 6 roots for a factor of degree 7") as caught:
+        fejer_riesz(f)
+    assert str(caught.value).endswith(f"(symbol depth {depth:.1e})")
+    assert len(refinements) == 1
 
 
 def test_fejer_riesz_deterministic():
@@ -735,3 +765,58 @@ def test_newton_plan_is_cached_read_only_and_bounded():
         assert index.shape == (6, 6) and not index.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             index[0, 0] = 0
+
+
+# -- the certified grid floor (ROADMAP item 8) ----------------------------------------
+
+_TINY_RIPPLES = {
+    # Below half an ulp of a_0 on the circle: every grid value rounds to a_0 itself, above
+    # the minimum, and the curvature term is smaller still; only the rounding term is left.
+    "ripple-1": TrigPoly.from_half_spectrum([0.1, 3e-18j]),
+    "ripple-2": TrigPoly.from_half_spectrum([1.0 / 3.0, 5e-18 - 5e-18j]),
+}
+
+
+def _minimum_from_below(f: TrigPoly):
+    """f's circle minimum, not from ``_grid_floor``: to 50 digits up to degree 6 (a_0 - 2 |a_1|
+    up to degree 1, else the oracle), else a lower bound from 2^16 angles, their least value less
+    the curvature term (h^2 / 8) sum k^2 |a_k| and 2^-36 sum |a_k|, above Higham's FFT rounding
+    bound 7 u log2 N sqrt N sum |a_k| at N = 2^16."""
+    if f.n <= 1:
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(50):
+            a_1 = f.coeff(1)
+            return mpmath.mpf(f.coeff(0).real) - 2 * abs(mpmath.mpc(a_1.real, a_1.imag))
+    if f.n <= 6:
+        return _oracle_minimum(f)
+    size = 1 << 16
+    dense = _grid_values(f.coeffs[f.n :], size)
+    curvature = sum(k * k * abs(f.coeff(k)) for k in range(-f.n, f.n + 1))
+    rounding = 2.0**-36 * sum(map(abs, f.coeffs))
+    return float(dense.min()) - (2.0 * math.pi / size) ** 2 / 8.0 * curvature - rounding
+
+
+def _assert_floor_is_a_bound(f: TrigPoly):
+    samples = DEFAULT_TOL.circle_samples
+    sums = spectral._moduli_sums(f.coeffs[f.n :])
+    floor, _ = spectral._grid_floor(spectral._circle_grid(f, samples), f.n, sums)
+    assert floor <= _minimum_from_below(f)
+    # Any threshold the floor clears, circle_extrema's refined minimum clears too.
+    assert circle_extrema(f, samples)[0] >= floor
+
+
+@BITWISE
+@given(st.integers(0, 2**32 - 1), st.integers(0, 40), _KINDS)
+def test_grid_floor_is_a_bound(seed, degree, kind):
+    _assert_floor_is_a_bound(_symbol(seed, degree, kind))
+
+
+@pytest.mark.parametrize("record", NARROW_ZEROS, ids=lambda r: f"seed{r['seed']}-item{r['item']}")
+def test_grid_floor_is_a_bound_below_a_narrow_double_zero(record):
+    # Here circle_extrema's refinement misses the minimum; the floor still lies below it.
+    _assert_floor_is_a_bound(_narrow_symbol(record))
+
+
+@pytest.mark.parametrize("name", list(_TINY_RIPPLES))
+def test_grid_floor_is_a_bound_under_rounding(name):
+    _assert_floor_is_a_bound(_TINY_RIPPLES[name])
