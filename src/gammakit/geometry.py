@@ -16,7 +16,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import BadParameter, NotOnTorusFiber
-from .tolerances import DEFAULT_TOL, ToleranceConfig, _band_miss, _unimodular
+from .tolerances import DEFAULT_TOL, ToleranceConfig, _band_miss, _modulus, _unimodular
 
 
 class GammaRegion(Enum):
@@ -48,12 +48,13 @@ def classify_point(
     if not (cmath.isfinite(s) and cmath.isfinite(p)):
         raise BadParameter(f"(s, p) = ({s}, {p}) is not a finite point")
     eps = tol.eps_residual
-    twist = abs(s - s.conjugate() * p)
-    room = 1.0 - abs(p) ** 2
+    mod_p = _modulus(p)
+    twist = _modulus(s - s.conjugate() * p)
+    room = 1.0 - min(mod_p, 2.0) ** 2  # |p| > 2 is outside either way; its square may overflow
 
-    if abs(s) > 2.0 + eps or twist > room + eps:
+    if _modulus(s) > 2.0 + eps or twist > room + eps:
         return GammaRegion.OUTSIDE
-    if abs(abs(p) - 1.0) <= eps and twist <= eps:
+    if abs(mod_p - 1.0) <= eps and twist <= eps:
         return GammaRegion.DISTINGUISHED_BOUNDARY
     if abs(twist - room) <= eps:
         return GammaRegion.BOUNDARY

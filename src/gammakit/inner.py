@@ -12,7 +12,7 @@ bound (ROADMAP defect C).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -34,10 +34,9 @@ from .tolerances import DEFAULT_TOL, ToleranceConfig, _band_miss, _in_closed_dis
 class GammaInner:
     """A validated rational inner map (E/D, D~/D) with degree bound n.
 
-    Instances are immutable and produced by :func:`validate`; ``strict``
-    records whether D was required to be zero-free on the whole closed disc
-    (the default) or only on the open disc, in which case circle zeros of D
-    lower the realized degree. ``tol`` is the tolerance it was validated with,
+    Instances are immutable and produced by :func:`validate`. ``d_circle_zeros``
+    counts the circle zeros of D, which only ``validate(..., strict=False)`` accepts and
+    which lower the realized degree. ``tol`` is the tolerance it was validated with,
     which every analysis of the map reads.
     """
 
@@ -45,7 +44,6 @@ class GammaInner:
     D: Poly
     n: int
     tol: ToleranceConfig = field(compare=False)
-    strict: bool = True
     d_circle_zeros: int = 0
     # royal_profile's memo; see its docstring.
     _royal_profile: object = field(default=None, init=False, compare=False, repr=False)
@@ -123,28 +121,17 @@ def validate(
                 d_failure = f"D has a zero of modulus {abs(z):.9g} in the open disc"
                 break
             circle_zeros += m
-    h = GammaInner(E=e, D=d, n=n, tol=tol, strict=strict, d_circle_zeros=circle_zeros)
-    return _checked(h, d_failure)
+    return _checked(GammaInner(E=e, D=d, n=n, tol=tol, d_circle_zeros=circle_zeros), d_failure)
 
 
-def _with_numerator(h: GammaInner, e: Poly, minimum=None) -> GammaInner:
-    """``validate(e, h.D, h.n, h.tol, strict=h.strict)`` without solving D again.
+def _checked(h: GammaInner, d_failure=None, gap_checked: bool = False) -> GammaInner:
+    """h, once conditions (i), (ii) and, unless ``gap_checked``, (iv) hold; D's (iii)
+    failure, if any, comes from the caller.
 
-    The new map is h with E replaced. Conditions (i), (ii) and (iv) involve E and run on e;
-    (iv) takes ``minimum``, the (value, angle, largest coefficient) of e's gap from a witness
-    trial, if given: its certified grid floor or its refined minimum. (iii) and the
-    circle-zero count depend only on D, tol and strict, which the new map shares with h, so
-    they are taken from h.
-    """
-    return _checked(replace(h, E=e), None, minimum)
-
-
-def _checked(h: GammaInner, d_failure, minimum=None) -> GammaInner:
-    """Conditions (i), (ii) and (iv) of h (from ``minimum`` if given) around D's (iii) failure.
-
-    Without ``minimum``, (iv) reads the gap's certified grid floor and refines the minimum
-    only when the floor does not clear the slack (``spectral._circle_minimum``): a pass
-    on the floor is certified, a refined verdict an estimate (defect C).
+    (iv) reads the gap's certified grid floor and refines the minimum only when the floor
+    does not clear the slack (``spectral._circle_minimum``): a pass on the floor is
+    certified, a refined verdict an estimate (defect C). ``gap_checked`` is for a caller
+    whose own test of h's gap cleared a stricter slack, as a witness trial does.
     """
     details = {}
     if h.E.degree > h.n or h.D.degree > h.n:
@@ -156,15 +143,11 @@ def _checked(h: GammaInner, d_failure, minimum=None) -> GammaInner:
     if d_failure is not None:
         details["iii"] = d_failure
 
-    if minimum is None:
-        scale = h.gap.max_coeff
-        bound = -h.tol.eps_residual * (1.0 + scale)
-        minimum = (*_circle_minimum(h.gap, bound, h.tol.circle_samples), scale)
-    min_val, arg_min, scale = minimum
-    if min_val < -h.tol.eps_residual * (1.0 + scale):
-        details["iv"] = (
-            f"4|D|^2 - |E|^2 reaches {min_val:.3e} at angle {arg_min:.6f}"
-        )
+    if not gap_checked:
+        bound = -h.tol.eps_residual * (1.0 + h.gap.max_coeff)
+        min_val, arg_min = _circle_minimum(h.gap, bound, h.tol.circle_samples)
+        if min_val < bound:
+            details["iv"] = f"4|D|^2 - |E|^2 reaches {min_val:.3e} at angle {arg_min:.6f}"
 
     if details:
         raise ConditionFailed(list(details), details)

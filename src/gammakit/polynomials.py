@@ -88,11 +88,17 @@ class Poly:
         return Poly([k * c for k, c in enumerate(self.coeffs)][1:])
 
 
-def _check_finite(mags, what: str = "polynomial") -> None:
-    """Raise :class:`BadParameter` unless every coefficient modulus in mags is finite."""
+def _check_finite(values, what: str = "polynomial") -> list[float]:
+    """The moduli of the coefficients in values; raise :class:`BadParameter` unless every
+    one is finite (a finite complex whose modulus overflows is not)."""
+    try:
+        mags = list(map(abs, values))
+    except OverflowError:
+        mags = [math.inf]
     # The sum is finite unless a modulus is not, or the sum overflows.
     if not math.isfinite(sum(mags)) and not all(map(math.isfinite, mags)):
         raise BadParameter(f"{what} coefficients must be finite")
+    return mags
 
 
 def _check_int(value, name: str) -> None:
@@ -104,7 +110,7 @@ def _check_int(value, name: str) -> None:
 def _normalized(cs):
     """Slice of the complex sequence cs that ``Poly.__init__`` keeps: non-finite entries
     raise, and trailing exact zeros (either sign in either part) go; nothing else does."""
-    _check_finite(list(map(abs, cs)))
+    _check_finite(cs)
     end = len(cs)
     while end > 0 and not cs[end - 1]:
         end -= 1

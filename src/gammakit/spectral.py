@@ -54,9 +54,7 @@ class TrigPoly:
             raise ValueError(f"n must be an integer, not {self.n!r}")
         if len(self.coeffs) != 2 * self.n + 1:
             raise ValueError("coefficient count must be 2n + 1")
-        mags = list(map(abs, self.coeffs))
-        _check_finite(mags, "trigonometric polynomial")
-        top = max(mags, default=0.0)
+        top = max(_check_finite(self.coeffs, "trigonometric polynomial"), default=0.0)
         for k in range(self.n + 1):
             lo = self.coeffs[self.n - k]
             hi = self.coeffs[self.n + k]
@@ -70,7 +68,7 @@ class TrigPoly:
         Hermitian by construction, so only finiteness is checked, not symmetry."""
         half = list(map(complex, half)) or [0j]
         half[0] = complex(half[0].real, 0.0)
-        _check_finite(list(map(abs, half)), "trigonometric polynomial")
+        _check_finite(half, "trigonometric polynomial")
         full = list(map(complex.conjugate, reversed(half[1:]))) + half
         out = object.__new__(cls)
         out.__dict__.update(coeffs=tuple(full), n=len(half) - 1)

@@ -23,7 +23,7 @@ from .errors import (
     ExtremeNoWitness,
     GammaKitError,
 )
-from .inner import GammaInner, _with_numerator, validate
+from .inner import GammaInner, _checked, validate
 from .polynomials import (
     Poly,
     _closed_disc_roots,
@@ -45,7 +45,9 @@ from .spectral import (
     to_trig_modulus_squared,
     to_trig_shifted,
 )
-from .tolerances import DEFAULT_TOL, ToleranceConfig, _band_miss, _in_closed_disc, _unimodular
+from .tolerances import (
+    DEFAULT_TOL, ToleranceConfig, _band_miss, _in_closed_disc, _modulus, _unimodular,
+)
 
 
 @dataclass(frozen=True)
@@ -85,7 +87,7 @@ class SynthesisSpec:
         sigmas = [_unimodular(s, tol) or s for s in sigmas]  # the band's sigmas snap to the circle
 
         for a in alphas:
-            if not abs(a) < 1.0:
+            if not _modulus(a) < 1.0:
                 raise BadSpec(f"alpha = {a:.6g} must lie in the open disc")
         n = len(sigmas)
         if n < 1:
@@ -103,7 +105,7 @@ class SynthesisSpec:
         if not 0.0 < abs(self.t) < math.inf:
             raise BadSpec("t must be a nonzero finite real")
         omega = complex(self.omega)
-        if not 0.0 < abs(omega) < math.inf:
+        if not 0.0 < _modulus(omega) < math.inf:
             raise BadSpec("omega must be a nonzero finite complex")
         omega /= abs(omega)
 
@@ -251,9 +253,9 @@ def witness_non_extreme(h: GammaInner) -> tuple[float, GammaInner, GammaInner]:
     else an estimate, not a certified bound (ROADMAP defect C). The start skips only
     sizes that the grid test rejects, so t is the one a halving from 1 returns; no t
     below 2^-59 is tried.
-    h+ and h- are then validated by ``_with_numerator``, which shares D, tol and strict
-    with h, checks (i) and (ii) on E +- t g and (iv) on the accepting trial's minimum:
-    the pencil at +-t is that gap up to rounding, and it cleared half of (iv)'s slack.
+    h+ and h- are h with E +- t g, checked for (i) and (ii). They share D, its (iii) and
+    its circle-zero count with h, and take (iv) from the trial that accepted t: the
+    pencil at +-t is their gap up to rounding, and it cleared half of (iv)'s slack.
     Every trial reads ``h.tol``.
     """
     tol = h.tol
@@ -281,16 +283,15 @@ def witness_non_extreme(h: GammaInner) -> tuple[float, GammaInner, GammaInner]:
 
     t_step = _first_step(grids, slack)
     while t_step >= 2.0**-59:  # the 60th size of a halving from 1
-        plus = _admissible(spectra, grids, t_step, tol)
-        minus = plus and _admissible(spectra, grids, -t_step, tol)  # -t only after +t passes
-        if minus:
+        # -t only after +t passes
+        if _admissible(spectra, grids, t_step, tol) and _admissible(spectra, grids, -t_step, tol):
             break
         t_step *= 0.5
     else:
         raise GammaKitError("no admissible perturbation size found in 60 halvings")
 
-    h_plus = _with_numerator(h, h.E + t_step * g, plus)
-    h_minus = _with_numerator(h, h.E + -t_step * g, minus)
+    h_plus = _checked(replace(h, E=h.E + t_step * g), gap_checked=True)
+    h_minus = _checked(replace(h, E=h.E + -t_step * g), gap_checked=True)
     return t_step, h_plus, h_minus
 
 
@@ -308,28 +309,25 @@ def _first_step(grids, slack: float) -> float:
     return 1.0
 
 
-def _admissible(spectra, grids, u: float, tol: ToleranceConfig):
-    """(minimum, angle, scale) of the pencil at u when its circle minimum clears
-    -0.5 eps_residual (1 + scale), scale its largest coefficient; None when it does not.
+def _admissible(spectra, grids, u: float, tol: ToleranceConfig) -> bool:
+    """True when the pencil's circle minimum at u clears -0.5 eps_residual (1 + its
+    largest coefficient).
 
     spectra holds the half spectra of G0, X and Q, as rows, and their ``_moduli_sums``;
     grids holds their values. Sums in ``TrigPoly.lincomb``'s order. A passing grid whose
-    certified floor clears the slack gives (floor, the lowest grid point's angle, scale),
-    a certified pass; else the TrigPoly is built and its refined minimum decides, an
-    estimate (ROADMAP defect C). The grid sums three transforms, so the floor reads the
-    moduli sums of |G0| + |u| |X| + u^2 |Q|, which bound the pencil's and its rounding's."""
+    certified floor clears the slack is a certified pass; else the TrigPoly is built and
+    its refined minimum decides, an estimate (ROADMAP defect C). The grid sums three
+    transforms, so the floor reads the moduli sums of |G0| + |u| |X| + u^2 |Q|, which
+    bound the pencil's and its rounding's."""
     halves, sums = spectra
     half = halves[0] + (-u) * halves[1] + (-u * u) * halves[2]
-    scale = float(np.abs(half).max())
-    floor = -0.5 * tol.eps_residual * (1.0 + scale)
+    floor = -0.5 * tol.eps_residual * (1.0 + float(np.abs(half).max()))
     values = grids[0] - u * grids[1] - (u * u) * grids[2]
     if float(values.min()) < floor:
-        return None
-    lowest, angle = _grid_floor(values, len(half) - 1, (1.0, abs(u), u * u) @ sums)
-    if lowest > floor:
-        return lowest, angle, scale
-    min_val, arg_min = _refine_minimum(TrigPoly.from_half_spectrum(half), values)
-    return None if min_val < floor else (min_val, arg_min, scale)
+        return False
+    if _grid_floor(values, len(half) - 1, (1.0, abs(u), u * u) @ sums)[0] > floor:
+        return True
+    return not _refine_minimum(TrigPoly.from_half_spectrum(half), values)[0] < floor  # NaN passes
 
 
 def convex_combine(h1: GammaInner, h2: GammaInner, t: float) -> GammaInner:
@@ -357,4 +355,4 @@ def convex_combine(h1: GammaInner, h2: GammaInner, t: float) -> GammaInner:
 
     rescaled = (1.0 / c.real) * h2.E
     combined = t * h1.E + (1.0 - t) * rescaled
-    return _with_numerator(h1, combined)
+    return _checked(replace(h1, E=combined))

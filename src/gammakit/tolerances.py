@@ -51,17 +51,25 @@ class ToleranceConfig:
 DEFAULT_TOL = ToleranceConfig()
 
 
+def _modulus(z: complex) -> float:
+    """|z|, or inf when a finite z's modulus overflows."""
+    try:
+        return abs(z)
+    except OverflowError:
+        return float("inf")
+
+
 def _unimodular(z: complex, tol: ToleranceConfig) -> complex | None:
     """z / |z| when z lies in the circle band, ||z| - 1| <= ``eps_circle``; else None."""
-    mod = abs(z)
+    mod = _modulus(z)
     return z / mod if abs(mod - 1.0) <= tol.eps_circle else None
 
 
 def _in_closed_disc(z: complex, tol: ToleranceConfig) -> bool:
     """True when |z| - 1 <= ``eps_circle``: z lies in the closed disc or its circle band."""
-    return abs(z) - 1.0 <= tol.eps_circle
+    return _modulus(z) - 1.0 <= tol.eps_circle
 
 
 def _band_miss(name: str, z: complex, tol: ToleranceConfig) -> str:
     """What a failed band test reports: ||z| - 1| and ``eps_circle``."""
-    return f"||{name}| - 1| = {abs(abs(z) - 1.0):.3e}; eps_circle = {tol.eps_circle:.3g}"
+    return f"||{name}| - 1| = {abs(_modulus(z) - 1.0):.3e}; eps_circle = {tol.eps_circle:.3g}"

@@ -27,13 +27,14 @@ from gammakit import (
     roots_with_multiplicity,
     royal_profile,
     superficial,
+    synthesize,
     to_trig_modulus_squared,
     trace_boundary,
     validate,
 )
 
 from gammakit.inner import _closed_disc_zero
-from helpers import circle_points, count_calls, random_unimodular
+from helpers import circle_points, count_calls, random_spec, random_unimodular
 
 
 def test_validate_h_nu_family_representation():
@@ -158,6 +159,17 @@ def test_validate_converse_mode_allows_circle_zeros():
         validate(e, d, 1, strict=True)
     h = validate(e, d, 1, strict=False)
     assert h.degree == 0  # the circle zero cancels
+
+
+def test_strictness_is_no_part_of_a_map_without_circle_zeros_of_d():
+    # Only d_circle_zeros records how a map was validated, so where D has no circle zero
+    # the strict and the non-strict map are equal (E, D, n and d_circle_zeros).
+    rng = random.Random(5)
+    maps = [h_nu(1, 0.5), geodesic(0.3j)] + [synthesize(random_spec(rng)) for _ in range(8)]
+    for h in maps:
+        loose = validate(h.E, h.D, h.n, strict=False)
+        assert loose.d_circle_zeros == 0
+        assert validate(h.E, h.D, h.n) == loose
 
 
 def test_validate_rejects_constant_degree():

@@ -12,19 +12,25 @@ from hypothesis import assume, given, strategies as st
 from gammakit import (
     DEFAULT_TOL,
     BadParameter,
+    BadSpec,
     DegreeExceedsBound,
+    GammaRegion,
     NodeRegion,
     OrderOverflow,
     PointOutOfRegion,
     Poly,
     RoyalNode,
     RoyalProfile,
+    SynthesisSpec,
     TrigPoly,
     ZeroPolynomial,
     boundary_flatness,
     circle_extrema,
+    classify_point,
     conj_reciprocal,
+    eval_h,
     fejer_riesz,
+    geodesic,
     h_nu,
     is_n_balanced,
     is_n_symmetric,
@@ -182,6 +188,44 @@ def test_companion_overflow_raises_a_named_error(solve, ratio):
         warnings.simplefilter("error")
         with pytest.raises(BadParameter, match=f"leading coefficient is {ratio} times the largest"):
             solve()
+
+
+_HUGE = complex(1.5e308, 1.5e308)  # finite, but abs() overflows
+
+
+@pytest.mark.parametrize(
+    "call, expected, match",
+    [
+        (lambda: Poly([_HUGE]), BadParameter, "^polynomial coefficients must be finite"),
+        (lambda: TrigPoly((_HUGE.conjugate(), 1, _HUGE), 1), BadParameter, "^trigonometric"),
+        (lambda: TrigPoly.from_half_spectrum([1, _HUGE]), BadParameter, "^trigonometric"),
+        # a_2 = 1.6e307 (1 + i) is finite; f'' doubles it and scales it by 4: modulus 1.8e308
+        (lambda: circle_extrema(TrigPoly.from_half_spectrum([1, 0, _HUGE / 9.375]), 1024),
+         BadParameter, "^polynomial coefficients must be finite"),
+        (lambda: classify_point(_HUGE, 0), GammaRegion.OUTSIDE, None),
+        (lambda: classify_point(0, _HUGE), GammaRegion.OUTSIDE, None),
+        (lambda: classify_point(0, 1e200), GammaRegion.OUTSIDE, None),  # |p|^2 overflows
+        (lambda: SynthesisSpec((), (1j,), (_HUGE,), 1, 1, 1), BadSpec, r"- 1\| = inf"),
+        (lambda: SynthesisSpec((), (_HUGE,), (0.5,), 1, 1, 1), BadSpec, r"- 1\| = inf"),
+        (lambda: SynthesisSpec((_HUGE,), (), (0.5, 0.2), 1, 1, 1), BadSpec, "open disc"),
+        (lambda: SynthesisSpec((), (1j,), (0.5,), 1, 1, _HUGE), BadSpec, "^omega must be"),
+        (lambda: q_factor(_HUGE), PointOutOfRegion, r"- 1\| = inf"),
+        (lambda: geodesic(_HUGE), BadParameter, r"- 1\| = inf"),
+        (lambda: eval_h(h_nu(0, 0.5), _HUGE), ValueError, r"- 1\| = inf"),
+    ],
+    ids=["poly", "trig", "half-spectrum", "derived", "classify-s", "classify-p",
+         "classify-p-squared", "sigma", "tau", "alpha", "omega", "q-factor", "geodesic",
+         "eval-h"],
+)
+def test_a_finite_point_whose_modulus_overflows_gets_the_documented_outcome(
+    call, expected, match
+):
+    # abs(_HUGE) raises OverflowError; each entry point reads its modulus as inf instead.
+    if isinstance(expected, GammaRegion):
+        assert call() is expected
+    else:
+        with pytest.raises(expected, match=match):
+            call()
 
 
 def test_roots_random_recovery():

@@ -120,13 +120,16 @@ def _oracle_minimum(f: TrigPoly) -> float:
 
         best = min(derivative(mpmath.mpf(t), 0) for t in starts)
         for t in starts:
-            root = mpmath.findroot(
-                lambda u: derivative(u, 1),
-                mpmath.mpf(t),
-                solver="newton",
-                df=lambda u: derivative(u, 2),
-                verify=False,
-            )
+            try:
+                root = mpmath.findroot(
+                    lambda u: derivative(u, 1),
+                    mpmath.mpf(t),
+                    solver="newton",
+                    df=lambda u: derivative(u, 2),
+                    verify=False,
+                )
+            except ZeroDivisionError:  # f'' = 0 at this start; its value is already in best
+                continue
             best = min(best, derivative(root, 0))
         return best
 
@@ -778,15 +781,10 @@ _TINY_RIPPLES = {
 
 
 def _minimum_from_below(f: TrigPoly):
-    """f's circle minimum, not from ``_grid_floor``: to 50 digits up to degree 6 (a_0 - 2 |a_1|
-    up to degree 1, else the oracle), else a lower bound from 2^16 angles, their least value less
-    the curvature term (h^2 / 8) sum k^2 |a_k| and 2^-36 sum |a_k|, above Higham's FFT rounding
-    bound 7 u log2 N sqrt N sum |a_k| at N = 2^16."""
-    if f.n <= 1:
-        mpmath = pytest.importorskip("mpmath")
-        with mpmath.workdps(50):
-            a_1 = f.coeff(1)
-            return mpmath.mpf(f.coeff(0).real) - 2 * abs(mpmath.mpc(a_1.real, a_1.imag))
+    """f's circle minimum, not from ``_grid_floor``: to 50 digits up to degree 6 (the oracle),
+    else a lower bound from 2^16 angles, their least value less the curvature term
+    (h^2 / 8) sum k^2 |a_k| and 2^-36 sum |a_k|, above Higham's FFT rounding bound
+    7 u log2 N sqrt N sum |a_k| at N = 2^16."""
     if f.n <= 6:
         return _oracle_minimum(f)
     size = 1 << 16

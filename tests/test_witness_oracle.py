@@ -1,10 +1,11 @@
 """witness_non_extreme against the per-trial halving search.
 
-``reference_witness_non_extreme`` is an earlier search, kept verbatim: it
+``reference_witness_non_extreme`` is an earlier search, kept verbatim but for
+the ``strict`` it validates with (non-strict exactly when D has circle zeros): it
 rebuilds ``circle_gap`` for E +- t g and runs ``circle_extrema`` at every
 halving, and validates h+ and h- from scratch. The search under test runs
 each trial on the precomputed quadratic pencil G0 -+ t X - t^2 Q instead;
-it must return the same t and bit-identical h+ and h- (E, D, n, strict and
+it must return the same t and bit-identical h+ and h- (E, D, n and
 d_circle_zeros), or raise the same error.
 """
 
@@ -73,8 +74,8 @@ def reference_witness_non_extreme(
     else:
         raise GammaKitError("no admissible perturbation size found in 60 halvings")
 
-    h_plus = validate(h.E + t_step * g, h.D, h.n, tol, strict=h.strict)
-    h_minus = validate(h.E + (-t_step) * g, h.D, h.n, tol, strict=h.strict)
+    h_plus = validate(h.E + t_step * g, h.D, h.n, tol, strict=not h.d_circle_zeros)
+    h_minus = validate(h.E + (-t_step) * g, h.D, h.n, tol, strict=not h.d_circle_zeros)
     return t_step, h_plus, h_minus
 
 
@@ -88,7 +89,7 @@ def _outcome(search, h):
 def _assert_same(h):
     found = _outcome(witness_non_extreme, h)
     expected = _outcome(reference_witness_non_extreme, h)
-    assert found == expected  # GammaInner equality: E, D, n, strict, d_circle_zeros
+    assert found == expected  # GammaInner equality: E, D, n, d_circle_zeros
     if isinstance(found[0], float):
         assert [m.tol for m in found[1:]] == [m.tol for m in expected[1:]]
     return found
@@ -141,7 +142,6 @@ def test_witness_matches_unscreened_search_non_strict():
     assert h.d_circle_zeros == 1
     t, h_plus, h_minus = _assert_same(h)
     assert t == 0.5 and h_plus.d_circle_zeros == h_minus.d_circle_zeros == 1
-    assert not h_plus.strict and not h_minus.strict
     rng = random.Random(43)
     for _ in range(4):
         g = synthesize(random_spec(rng, n_max=10))
