@@ -90,7 +90,7 @@ class DifferentSecondComponent(GammaKitError):
 
 
 class OrderOverflow(GammaKitError):
-    """A boundary flatness order exceeds the cap of 12, or |s| = 2 on the whole circle."""
+    """|s| = 2 on the whole circle (the royal variety), so no boundary flatness order exists."""
 
 
 class ParseError(GammaKitError):

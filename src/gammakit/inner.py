@@ -12,8 +12,10 @@ bound (ROADMAP defect C).
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import accumulate
 
 import numpy as np
 
@@ -32,26 +34,21 @@ from .tolerances import DEFAULT_TOL, ToleranceConfig, _band_miss, _in_closed_dis
 
 @dataclass(frozen=True)
 class GammaInner:
-    """A validated rational inner map (E/D, D~/D) with degree bound n.
+    """A validated rational inner map (E/D, D~/D) of degree n.
 
-    Instances are immutable and produced by :func:`validate`. ``d_circle_zeros``
-    counts the circle zeros of D, which only ``validate(..., strict=False)`` accepts and
-    which lower the realized degree. ``tol`` is the tolerance it was validated with,
-    which every analysis of the map reads.
+    Instances are immutable and produced by :func:`validate`, so D has no zero on the
+    closed disc and n is the degree of the Blaschke product p. ``tol`` is the tolerance it
+    was validated with, which every analysis of the map reads.
     """
 
     E: Poly
     D: Poly
     n: int
     tol: ToleranceConfig = field(compare=False)
-    d_circle_zeros: int = 0
     # royal_profile's memo; see its docstring.
     _royal_profile: object = field(default=None, init=False, compare=False, repr=False)
 
-    @property
-    def degree(self) -> int:
-        """Degree of the Blaschke product p after cancelling circle zeros."""
-        return self.n - self.d_circle_zeros
+    degree = property(lambda self: self.n, doc="The degree n of the map, under a second name.")
 
     @cached_property
     def d_reflected(self) -> Poly:
@@ -94,19 +91,24 @@ def validate(
 
     (i) deg E <= n and deg D <= n; (ii) E is n-symmetric; (iii) D has no
     zeros on the closed disc, by the Schur-Cohn test, with roots solved only
-    to name a zero (``strict=False``: none on the open disc, from D's roots);
-    (iv) 4|D|^2 - |E|^2 >= 0 on the circle, from the exact autocorrelations:
-    a pass is certified when the grid floor clears the slack -eps_residual (1 + the
-    largest coefficient), and is otherwise decided by ``circle_extrema``'s refined
-    minimum, an estimate, not a certified bound (defect C), as is every failure.
+    to name a zero; (iv) 4|D|^2 - |E|^2 >= 0 on the circle, from the exact
+    autocorrelations: a pass is certified when the grid floor clears the slack
+    -eps_residual (1 + the largest coefficient), and is otherwise decided by
+    ``circle_extrema``'s refined minimum, an estimate, not a certified bound (defect C),
+    as is every failure.
+
+    ``strict=False`` is the paper's converse: (iii) asks only for no zero of D on the
+    open disc, from D's roots. (iv) makes E vanish at each circle zero tau of D, so
+    once (i)-(iv) hold, tau cancels (``_cancel``) and the pair of degree n - 1 is
+    validated the same way: the map returned is reduced, and n is its degree. A pair
+    that cancels to degree 0, a constant map, raises :class:`BadParameter`.
 
     Raises :class:`ConditionFailed` carrying every failed condition label.
     """
     if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise BadParameter(f"the degree bound n must be a positive integer, not {n!r}")
 
-    d_failure = None
-    circle_zeros = 0
+    d_failure = tau = None
     if d.is_zero():
         d_failure = "D is the zero polynomial"
     elif d.degree > n:
@@ -116,12 +118,25 @@ def validate(
         if zero is not None:
             d_failure = f"D has a zero of modulus {abs(zero):.9g} on the closed disc"
     elif d.degree > 0:
-        for z, m, unit in _closed_disc_roots(d, tol):
+        for z, _, unit in _closed_disc_roots(d, tol):
             if unit is None:
                 d_failure = f"D has a zero of modulus {abs(z):.9g} in the open disc"
                 break
-            circle_zeros += m
-    return _checked(GammaInner(E=e, D=d, n=n, tol=tol, d_circle_zeros=circle_zeros), d_failure)
+            tau = unit
+    h = _checked(GammaInner(E=e, D=d, n=n, tol=tol), d_failure)
+    if tau is not None and n == 1:
+        raise BadParameter(f"E and D cancel at D's circle zero {tau:.6g} to a constant map")
+    return h if tau is None else validate(_cancel(e, tau), _cancel(d, tau), n - 1, tol, False)
+
+
+def _cancel(f: Poly, tau: complex) -> Poly:
+    """sqrt(-tau) times the quotient of f by (lambda - tau), the remainder dropped.
+
+    For D and an E that vanish at the unimodular tau this keeps s = E/D and p = D~/D, and
+    an n-symmetric E becomes (n - 1)-symmetric.
+    """
+    quotient = list(accumulate(reversed(f.coeffs[1:]), lambda carry, c: c + tau * carry))
+    return cmath.sqrt(-tau) * Poly(quotient[::-1])
 
 
 def _checked(h: GammaInner, d_failure=None, gap_checked: bool = False) -> GammaInner:

@@ -123,17 +123,14 @@ def royal_profile(h: GammaInner) -> RoyalProfile:
     return profile
 
 
-_FLATNESS_CAP = 12
-
-
 def boundary_flatness(h: GammaInner, tau: complex) -> int:
     """Order to which |s| attains the value 2 along the circle at tau.
 
     0 when 2 - |s(tau)| exceeds 1e-8; otherwise 2 nu for the circle node of
     ``royal_profile(h)`` nearest tau, of multiplicity nu (the paper's flatness
     statement). Raises what the profile raises, ``OrderOverflow`` on the royal
-    variety and past ``_FLATNESS_CAP``, and ``GammaKitError`` when no circle node
-    lies within ``_CLUSTER_CAP`` of tau. tau must lie in ``h.tol``'s circle band.
+    variety, and ``GammaKitError`` when no circle node lies within ``_CLUSTER_CAP``
+    of tau. tau must lie in ``h.tol``'s circle band.
     """
     unit = _unimodular(complex(tau), h.tol)
     if unit is None:
@@ -149,10 +146,7 @@ def boundary_flatness(h: GammaInner, tau: complex) -> int:
     if nearest is None or abs(nearest.location - unit) > _CLUSTER_CAP:
         raise GammaKitError(f"|s(tau)| = {abs(s)!r} at tau = {unit!r}, but the royal profile "
                             f"has no circle node within {_CLUSTER_CAP} (nearest: {nearest})")
-    order = 2 * nearest.multiplicity
-    if order > _FLATNESS_CAP:
-        raise OrderOverflow(f"order {order} exceeds the cap {_FLATNESS_CAP}")
-    return order
+    return 2 * nearest.multiplicity
 
 
 def is_s_extreme(h: GammaInner) -> bool:

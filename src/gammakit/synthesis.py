@@ -100,9 +100,12 @@ class SynthesisSpec:
             for tval in taus:
                 if abs(sig - tval) <= tol.eps_circle:
                     raise BadSpec(f"royal node {sig:.6g} collides with s-zero {tval:.6g}")
-        if not 0.0 < self.t_plus < math.inf:
+        # NaN, which fails both range tests, stands for a non-real (a str, a complex).
+        t_plus, t = (float(x.real) if getattr(x, "imag", 1) == 0 else math.nan
+                     for x in (self.t_plus, self.t))
+        if not 0.0 < t_plus < math.inf:
             raise BadSpec("t_plus must be strictly positive and finite")
-        if not 0.0 < abs(self.t) < math.inf:
+        if not 0.0 < abs(t) < math.inf:
             raise BadSpec("t must be a nonzero finite real")
         omega = complex(self.omega)
         if not 0.0 < _modulus(omega) < math.inf:
@@ -112,8 +115,8 @@ class SynthesisSpec:
         object.__setattr__(self, "alphas", alphas)
         object.__setattr__(self, "taus", tuple(taus))
         object.__setattr__(self, "sigmas", tuple(sigmas))
-        object.__setattr__(self, "t_plus", float(self.t_plus))
-        object.__setattr__(self, "t", float(self.t))
+        object.__setattr__(self, "t_plus", t_plus)
+        object.__setattr__(self, "t", t)
         object.__setattr__(self, "omega", omega)
 
     @property
@@ -162,9 +165,9 @@ def recover_spec(h: GammaInner) -> SynthesisSpec:
     which the spec keeps.
     """
     profile = royal_profile(h)
-    if profile.n != h.degree:  # a node miscounted: no spec of either degree would be right
+    if profile.n != h.n:  # a node miscounted: a spec of profile.n nodes has another degree
         raise GammaKitError(
-            f"the royal profile counts {profile.n} nodes but the map has degree {h.degree}"
+            f"the royal profile counts {profile.n} nodes but the map has degree {h.n}"
         )
     sigmas = []
     for node in profile.nodes:
@@ -253,9 +256,9 @@ def witness_non_extreme(h: GammaInner) -> tuple[float, GammaInner, GammaInner]:
     else an estimate, not a certified bound (ROADMAP defect C). The start skips only
     sizes that the grid test rejects, so t is the one a halving from 1 returns; no t
     below 2^-59 is tried.
-    h+ and h- are h with E +- t g, checked for (i) and (ii). They share D, its (iii) and
-    its circle-zero count with h, and take (iv) from the trial that accepted t: the
-    pencil at +-t is their gap up to rounding, and it cleared half of (iv)'s slack.
+    h+ and h- are h with E +- t g, checked for (i) and (ii). They share D and its (iii)
+    with h, and take (iv) from the trial that accepted t: the pencil at +-t is their gap
+    up to rounding, and it cleared half of (iv)'s slack.
     Every trial reads ``h.tol``.
     """
     tol = h.tol

@@ -76,7 +76,8 @@ def test_library_solves_and_evaluates_through_the_public_layer(monkeypatch):
     recover_spec(h)  # the profile is memoized on h, so E is the only new solve
     assert [args[0] for args in solves[1:]] == [h.E]
     converse = validate(Poly([0.5, 1, 0.5]), Poly([1, 1]), 2, strict=False)  # D(-1) = 0
-    assert [args[0] for args in solves[2:]] == [converse.D]
+    assert [args[0] for args in solves[2:]] == [Poly([1, 1])]  # the reduced D is constant
+    assert converse.D.degree == 0
     symbol = to_trig_modulus_squared(Poly([-1, 1]) * Poly([0.5, 1]))  # a circle zero: root pairing
     fejer_riesz(symbol)
     assert [args[0].degree for args in solves[3:]] == [2 * symbol.n]  # the scaled symbol
@@ -111,13 +112,13 @@ def test_closed_disc_zero_agrees_with_root_rule():
 
 def test_plain_band_edges_agree_across_consumers():
     # D's circle zeros may be simple, so one band |r - 1| <= eps_circle places them: the
-    # non-strict validate counts a root at 1 +- eps_circle / 2 as a circle zero and drops
-    # one at 1 + 2 eps_circle, and _closed_disc_zero finds exactly the counted ones.
+    # non-strict validate cancels a root at 1 +- eps_circle / 2 as a circle zero and keeps
+    # one at 1 + 2 eps_circle, and _closed_disc_zero finds exactly the cancelled ones.
     eps = DEFAULT_TOL.eps_circle
     direction = cmath.exp(0.7j)
     for modulus, circle_zeros in ((1 + eps / 2, 1), (1 - eps / 2, 1), (1 + 2 * eps, 0)):
         d = poly_from_roots([(modulus * direction, 1), (2.5, 1)])
-        assert validate(Poly([]), d, 2, strict=False).d_circle_zeros == circle_zeros
+        assert validate(Poly([]), d, 2, strict=False).n == 2 - circle_zeros
         assert (_closed_disc_zero(d, DEFAULT_TOL) is not None) == bool(circle_zeros)
     # One at 1 - 2 eps_circle lies in the open disc.
     d = poly_from_roots([((1 - 2 * eps) * direction, 1), (2.5, 1)])
@@ -152,24 +153,82 @@ def test_validate_degree_one_geodesic_form():
 
 
 def test_validate_converse_mode_allows_circle_zeros():
-    # D = 1 - lambda vanishes at 1 on the circle; only allowed non-strictly.
+    # D = 1 - lambda vanishes at 1 on the circle; only allowed non-strictly, where the zero
+    # cancels with E's. With E = 0 and n = 1 what is left is a constant map, of degree 0.
     d = Poly([1, -1])
     e = Poly([0, 0])
     with pytest.raises(ConditionFailed):
         validate(e, d, 1, strict=True)
-    h = validate(e, d, 1, strict=False)
-    assert h.degree == 0  # the circle zero cancels
+    with pytest.raises(BadParameter, match="cancel at D's circle zero 1.* to a constant map"):
+        validate(e, d, 1, strict=False)
+    h = validate(e, d * Poly([2, 1]), 2, strict=False)
+    assert h.n == 1 and h.E.is_zero() and abs(h.D(-2)) < 1e-15
 
 
 def test_strictness_is_no_part_of_a_map_without_circle_zeros_of_d():
-    # Only d_circle_zeros records how a map was validated, so where D has no circle zero
-    # the strict and the non-strict map are equal (E, D, n and d_circle_zeros).
+    # A map does not record how it was validated, so where D has no circle zero the strict
+    # and the non-strict map are equal (E, D and n).
     rng = random.Random(5)
     maps = [h_nu(1, 0.5), geodesic(0.3j)] + [synthesize(random_spec(rng)) for _ in range(8)]
     for h in maps:
-        loose = validate(h.E, h.D, h.n, strict=False)
-        assert loose.d_circle_zeros == 0
-        assert validate(h.E, h.D, h.n) == loose
+        assert validate(h.E, h.D, h.n) == validate(h.E, h.D, h.n, strict=False)
+
+
+def test_converse_repro_reduces_to_the_strict_degree_one_map():
+    # (E, D) = ((1 + lambda)^2 / 2, 1 + lambda) at n = 2 share the circle zero -1, which
+    # cancels, leaving ((1 + lambda) / 2, 1) at n = 1: h = ((1 + lambda) / 2, lambda), of
+    # type (1, 0).
+    h = validate(Poly([0.5, 1, 0.5]), Poly([1, 1]), 2, strict=False)
+    assert h == validate(Poly([0.5, 0.5]), Poly([1]), 1)
+    assert royal_profile(h).type_pair == (1, 0)
+
+
+def _circle_factor(tau):
+    """(lambda - tau) / sqrt(-tau), 1-symmetric for a unimodular tau."""
+    return (1 / cmath.sqrt(-tau)) * Poly([-tau, 1])
+
+
+def _converse_pair(h, circle_zeros):
+    """h's E and D times each ``_circle_factor``: an unreduced pair with h's s and p, whose
+    D has those circle zeros, and its degree bound."""
+    e, d = h.E, h.D
+    for tau in circle_zeros:
+        e, d = e * _circle_factor(tau), d * _circle_factor(tau)
+    return e, d, h.n + len(circle_zeros)
+
+
+@pytest.mark.parametrize(
+    "circle_zeros",
+    [(-1,), (cmath.exp(2.1j),), (1j, cmath.exp(-0.4j)), (cmath.exp(0.9j),) * 2],
+    ids=["minus-one", "simple", "two-simple", "double"],
+)
+def test_converse_reduction_keeps_s_and_p(circle_zeros):
+    h = h_nu(1, 0.5)
+    e, d, n = _converse_pair(h, circle_zeros)
+    reduced = validate(e, d, n, strict=False)
+    assert reduced.n == h.n
+    lam = 0.7 * np.exp(2j * np.pi * np.arange(64) / 64)
+    s, p = eval_h(reduced, lam)
+    assert np.max(np.abs(s - e(lam) / d(lam))) < 1e-14
+    assert np.max(np.abs(p - conj_reciprocal(d, n)(lam) / d(lam))) < 1e-14
+
+
+def test_converse_reduction_needs_e_to_vanish_as_often_as_d():
+    # D has a double circle zero at tau and E a simple one; E's other new factor, 1 + lambda,
+    # keeps it (n + 2)-symmetric. Near tau, |E|^2 outgrows 4 |D|^2: (iv) fails.
+    tau = cmath.exp(0.9j)
+    e, d, n = _converse_pair(h_nu(1, 0.5), (tau,))
+    with pytest.raises(ConditionFailed) as err:
+        validate(e * Poly([1, 1]), d * _circle_factor(tau), n + 1, strict=False)
+    assert err.value.failed == ("iv",)
+
+
+def test_converse_mode_rejects_an_e_that_does_not_vanish_at_a_circle_zero_of_d():
+    # E = (i - i lambda) / 2 vanishes at 1, D = 1 + lambda at -1, where |E| = 1 > 2 |D| = 0.
+    with pytest.raises(ConditionFailed) as err:
+        validate(Poly([0.5j, -0.5j]), Poly([1, 1]), 1, strict=False)
+    assert err.value.failed == ("iv",)
+    assert err.value.details["iv"].startswith("4|D|^2 - |E|^2 reaches -1")
 
 
 def test_validate_rejects_constant_degree():
@@ -212,12 +271,15 @@ def test_eval_domain_guard():
             h_nu(0, 0.5).eval(bad)
 
 
-def test_eval_pole_on_domain_in_converse_mode():
+def test_eval_pole_on_domain():
     from gammakit import PoleOnDomain
 
-    h = validate(Poly([]), Poly([1, -1]), 1, strict=False)
+    # D's zero lies just past the band 1 + eps_circle, so the map is valid, but D vanishes
+    # to rounding at the band's edge, which eval_h still takes as a point of the disc.
+    eps = DEFAULT_TOL.eps_circle
+    h = validate(Poly([]), Poly([-(1 + eps) * (1 + 1e-14), 1]), 1)
     with pytest.raises(PoleOnDomain):
-        h.eval(1.0)
+        h.eval(1 + eps)
 
 
 @pytest.mark.parametrize("shape", [(0,), (0, 3)])

@@ -16,7 +16,6 @@ from gammakit import (
     DegreeExceedsBound,
     GammaRegion,
     NodeRegion,
-    OrderOverflow,
     PointOutOfRegion,
     Poly,
     RoyalNode,
@@ -607,8 +606,9 @@ def test_non_finite_coefficients_still_raise(cs, data):
 
 
 def _flatness_past_the_cap(monkeypatch):
-    # No map reaches the cap: a circle node of multiplicity 4 or more reads as disc nodes
-    # (test_royal.py's high-order circle node), so the profile is replaced.
+    # The order is 2 nu for every nu. No map reaches nu = 7: a circle node of multiplicity 4
+    # or more reads as disc nodes (test_royal.py's high-order circle node), so the profile
+    # is replaced.
     fake = RoyalProfile(nodes=(RoyalNode(-1 + 0j, 7, NodeRegion.CIRCLE),), n=7, k=7)
     monkeypatch.setattr(gammakit.royal, "royal_profile", lambda _: fake)
     return boundary_flatness(h_nu(0, 0.5), -1)
@@ -621,7 +621,7 @@ def _flatness_past_the_cap(monkeypatch):
         (lambda _: roots_with_multiplicity(Poly([3])), ()),
         (lambda _: TrigPoly.from_half_spectrum([1, 0.5]).coeff(5), 0j),
         (lambda _: is_n_balanced(Poly([1, 2]), 1), False),
-        (_flatness_past_the_cap, OrderOverflow),
+        (_flatness_past_the_cap, 14),
     ],
     ids=["negative-bound", "constant-roots", "coeff-past-n", "unbalanced", "flatness-cap"],
 )

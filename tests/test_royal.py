@@ -496,11 +496,6 @@ def test_high_order_circle_node_is_not_read_as_disc_nodes(nu, sigma):
         witness_non_extreme(h)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="known defect (ROADMAP item 1): on an unreduced non-strict map the circle zero "
-    "D shares with E counts as a royal node, so the type exceeds the degree",
-)
 def test_non_strict_map_with_cancelled_circle_zero():
     # E / D = (1 + lambda) / 2 and D~ / D = lambda after cancelling 1 + lambda: degree 1.
     h = validate(Poly([0.5, 1, 0.5]), Poly([1, 1]), 2, strict=False)

@@ -1,14 +1,16 @@
 import cmath
 import math
 import random
+from decimal import Decimal
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from gammakit import (
     BadSpec,
     DifferentSecondComponent,
     ExtremeNoWitness,
-    GammaKitError,
     Poly,
     SynthesisSpec,
     build_re,
@@ -69,6 +71,37 @@ def test_spec_invariants():
         ):
             with pytest.raises(BadSpec):
                 _spec(**fields)
+
+
+@pytest.mark.parametrize(
+    "fields, expected",
+    [
+        (dict(t=complex(1.5e308, 1.5e308)), "t must be"),
+        (dict(t=0.5j), "t must be"),
+        (dict(t=0.5 + 0.1j), "t must be"),
+        (dict(t="0.5"), "t must be"),
+        (dict(t_plus=1j), "t_plus must be"),
+        (dict(t_plus=1 + 1e-3j), "t_plus must be"),
+        (dict(t_plus="1.2"), "t_plus must be"),
+        (dict(t_plus=None), "t_plus must be"),
+        (dict(t=3, t_plus=2), (2.0, 3.0)),
+        (dict(t=-0.1, t_plus=1.2), (1.2, -0.1)),
+        (dict(t=np.float32(0.1), t_plus=np.int64(7)), (7.0, float(np.float32(0.1)))),
+        (dict(t=Fraction(1, 3), t_plus=Decimal("0.1")), (0.1, 1 / 3)),
+        (dict(t=-1.5 + 0j, t_plus=np.float64(2.5)), (2.5, -1.5)),
+    ],
+    ids=["huge-complex-t", "imaginary-t", "complex-t", "str-t", "imaginary-t-plus",
+         "complex-t-plus", "str-t-plus", "none-t-plus", "ints", "floats", "numpy",
+         "fraction-decimal", "zero-imaginary-part"],
+)
+def test_spec_scalars_are_real_or_bad_spec(fields, expected):
+    if isinstance(expected, str):
+        with pytest.raises(BadSpec, match=f"^{expected}"):
+            _spec(taus=[1], sigmas=[0], **fields)
+    else:
+        spec = _spec(taus=[1], sigmas=[0], **fields)
+        assert (spec.t_plus, spec.t) == expected
+        assert type(spec.t_plus) is float and type(spec.t) is float
 
 
 def test_build_re_examples():
@@ -242,13 +275,18 @@ def test_recover_spec_makes_no_spectral_factorization(monkeypatch):
     assert len(calls) == 1
 
 
-def test_recover_spec_names_a_miscounted_node():
-    # ((1 + lambda) / 2, lambda) unreduced: D shares its circle zero -1 with E and the profile
-    # counts that zero as a node (ROADMAP item 1); recovery names the count, not a spec whose
-    # node collides with a tau.
+def test_recover_spec_of_a_reduced_converse_map():
+    # (E, D) = ((1 + lambda)^2 / 2, 1 + lambda) at n = 2 reduces to ((1 + lambda) / 2, 1) at
+    # n = 1, so recovery sees one node and the s-zero -1, and its spec synthesizes back to h.
+    # (test_high_degree.py pins the miscounted-node guard.)
     h = validate(Poly([0.5, 1, 0.5]), Poly([1, 1]), 2, strict=False)
-    with pytest.raises(GammaKitError, match="counts 2 nodes but the map has degree 1"):
-        recover_spec(h)
+    spec = recover_spec(h)
+    assert spec.taus == (-1,) and spec.alphas == () and len(spec.sigmas) == 1
+    assert abs(spec.sigmas[0] - (2 - math.sqrt(3)) ** 2) < 1e-12
+    back = synthesize(spec)
+    for k in range(64):
+        lam = cmath.rect(0.7, 2 * math.pi * k / 64)
+        assert max(abs(a - b) for a, b in zip(back.eval(lam), h.eval(lam))) < 1e-15
 
 
 def test_recover_spec_repeated_nodes():
@@ -386,7 +424,7 @@ def test_convex_combine_rescaled_denominator():
 
 @pytest.mark.parametrize("strict", [True, False])
 def test_convex_combine_checks_shared_denominator_once(monkeypatch, strict):
-    h = validate(Poly([0.5, 1.0, 0.5]), Poly([1.0, 1.0]), 2, strict=False)  # D(-1) = 0
+    h = validate(Poly([0.5, 1.0, 0.5]), Poly([1.0, 1.0]), 2, strict=False)  # reduced, n = 1
     if strict:
         h = synthesize(_spec(alphas=[0.4], taus=[1j], sigmas=[-1, 0.2, 0.3j], t_plus=1.2))
     _, h_plus, h_minus = witness_non_extreme(h)
@@ -394,8 +432,8 @@ def test_convex_combine_checks_shared_denominator_once(monkeypatch, strict):
     mid = convex_combine(h_plus, h_minus, 0.5)
     assert not roots
     monkeypatch.undo()
-    expected = validate(0.5 * h_plus.E + 0.5 * h_minus.E, h.D, h.n, strict=strict)
-    assert mid == expected and mid.d_circle_zeros == (0 if strict else 1)
+    expected = validate(0.5 * h_plus.E + 0.5 * h_minus.E, h.D, h.n)
+    assert mid == expected and mid.n == (3 if strict else 1)
 
 
 def test_convex_combine_rejects_different_p():

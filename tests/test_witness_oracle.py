@@ -1,12 +1,10 @@
 """witness_non_extreme against the per-trial halving search.
 
-``reference_witness_non_extreme`` is an earlier search, kept verbatim but for
-the ``strict`` it validates with (non-strict exactly when D has circle zeros): it
-rebuilds ``circle_gap`` for E +- t g and runs ``circle_extrema`` at every
-halving, and validates h+ and h- from scratch. The search under test runs
-each trial on the precomputed quadratic pencil G0 -+ t X - t^2 Q instead;
-it must return the same t and bit-identical h+ and h- (E, D, n and
-d_circle_zeros), or raise the same error.
+``reference_witness_non_extreme`` is an earlier search: it rebuilds
+``circle_gap`` for E +- t g and runs ``circle_extrema`` at every halving, and
+validates h+ and h- from scratch. The search under test runs each trial on the
+precomputed quadratic pencil G0 -+ t X - t^2 Q instead; it must return the same
+t and bit-identical h+ and h- (E, D and n), or raise the same error.
 """
 
 import dataclasses
@@ -74,8 +72,8 @@ def reference_witness_non_extreme(
     else:
         raise GammaKitError("no admissible perturbation size found in 60 halvings")
 
-    h_plus = validate(h.E + t_step * g, h.D, h.n, tol, strict=not h.d_circle_zeros)
-    h_minus = validate(h.E + (-t_step) * g, h.D, h.n, tol, strict=not h.d_circle_zeros)
+    h_plus = validate(h.E + t_step * g, h.D, h.n, tol)
+    h_minus = validate(h.E + (-t_step) * g, h.D, h.n, tol)
     return t_step, h_plus, h_minus
 
 
@@ -89,7 +87,7 @@ def _outcome(search, h):
 def _assert_same(h):
     found = _outcome(witness_non_extreme, h)
     expected = _outcome(reference_witness_non_extreme, h)
-    assert found == expected  # GammaInner equality: E, D, n, d_circle_zeros
+    assert found == expected  # GammaInner equality: E, D and n
     if isinstance(found[0], float):
         assert [m.tol for m in found[1:]] == [m.tol for m in expected[1:]]
     return found
@@ -134,14 +132,14 @@ def test_witness_matches_unscreened_search_with_other_tolerances():
 
 
 def test_witness_matches_unscreened_search_non_strict():
-    # D = 1 + lambda vanishes at -1, so only strict=False accepts the map;
-    # E +- t g = (1/2 -+ t)(1 + lambda)^2, and t = 1/2 meets the circle
-    # inequality with equality at lambda = 1.
+    # D = 1 + lambda vanishes at -1, so only strict=False accepts the pair, and it
+    # cancels the zero: (E, D) = ((1 + lambda) / 2, 1) at n = 1, so h = ((1 + lambda) / 2,
+    # lambda), of type (1, 0). Its pair E +- t g has t = 1, and h+- keep h's D = 1.
     square = Poly([1.0, 2.0, 1.0])
     h = validate(0.5 * square, Poly([1.0, 1.0]), 2, strict=False)
-    assert h.d_circle_zeros == 1
+    assert h == validate(Poly([0.5, 0.5]), Poly([1.0]), 1)
     t, h_plus, h_minus = _assert_same(h)
-    assert t == 0.5 and h_plus.d_circle_zeros == h_minus.d_circle_zeros == 1
+    assert t == 1.0 and h_plus.D == h_minus.D == Poly([1.0])
     rng = random.Random(43)
     for _ in range(4):
         g = synthesize(random_spec(rng, n_max=10))
